@@ -12,26 +12,25 @@ paths; all predicates work modulo that translation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geom_core import (
     Empty,
     Overlap,
-    PointHit,
     RatPoint,
     Segment,
     bbox_candidate_pairs,
     cross,
     orient,
-    pt,
     segment_intersection,
+    shift_segment,
     smul,
     vadd,
     vsub,
 )
-from .curves_ops import TRANSVERSE, intersect_curves
+from .curves_ops import intersect_curves
 from .fine_graph import (
     BOUQUET,
     EdgeT,
@@ -42,7 +41,6 @@ from .fine_graph import (
     check_vertex,
     classify_clique3,
     is_edge,
-    point_of_edge,
 )
 from .routing import SegmentSet, torus_route
 from .surfaces import (
@@ -317,41 +315,36 @@ def _arc_crossings(u: Sequence[RatPoint], v: Sequence[RatPoint]):
     su = _arc_segments(u)
     sv = _arc_segments(v)
     ends_u = {u[0], u[-1]}
+    ends_v = {v[0], v[-1]}
     u_pts = [p for s in su for p in (s.p, s.q)]
     v_pts = [p for s in sv for p in (s.p, s.q)]
+    shifts = [(k, j) for (k, j) in translate_range(u_pts, v_pts, pad=0) if j == 0]
     out = []
     seen = set()
-    for (k, j) in translate_range(u_pts, v_pts, pad=0):
-        if j != 0:
+    for w, ui, vi in bbox_candidate_pairs(su, sv, shifts):
+        s1 = su[ui]
+        res = segment_intersection(s1, shift_segment(sv[vi], w))
+        if isinstance(res, Empty):
             continue
-        w = (Fraction(k), Fraction(0))
-        moved_all = [Segment(vadd(s.p, w), vadd(s.q, w)) for s in sv]
-        for ui, vi in bbox_candidate_pairs(su, moved_all):
-            s1 = su[ui]
-            moved = moved_all[vi]
-            if True:
-                res = segment_intersection(s1, moved)
-                if isinstance(res, Empty):
-                    continue
-                if isinstance(res, Overlap):
-                    raise NonGenericInput("arcs overlap")
-                p = res.point
-                u_end = p in ends_u
-                v_end = vsub(p, w) in (v[0], v[-1])
-                if u_end and v_end:
-                    continue
-                if u_end != v_end:
-                    raise NonGenericInput("arc through the other's endpoint")
-                if not (res.interior1 and res.interior2):
-                    raise NonGenericInput("crossing at an arc vertex")
-                key = (ui, p)
-                if key in seen:
-                    continue
-                seen.add(key)
-                d = vsub(s1.q, s1.p)
-                axis = 0 if d[0] != 0 else 1
-                t = (p[axis] - s1.p[axis]) / d[axis]
-                out.append((ui + t, p))
+        if isinstance(res, Overlap):
+            raise NonGenericInput("arcs overlap")
+        p = res.point
+        u_end = p in ends_u
+        v_end = (p[0] - w[0], p[1]) in ends_v
+        if u_end and v_end:
+            continue
+        if u_end != v_end:
+            raise NonGenericInput("arc through the other's endpoint")
+        if not (res.interior1 and res.interior2):
+            raise NonGenericInput("crossing at an arc vertex")
+        key = (ui, p)
+        if key in seen:
+            continue
+        seen.add(key)
+        d = vsub(s1.q, s1.p)
+        axis = 0 if d[0] != 0 else 1
+        t = (p[axis] - s1.p[axis]) / d[axis]
+        out.append((ui + t, p))
     out.sort()
     return out
 
@@ -422,29 +415,24 @@ def _arc_simple(arc: Sequence[RatPoint]) -> bool:
     segs = _arc_segments(arc)
     if not segs:
         return False
-    # each segment may touch its neighbors at the shared vertex only
-    for i, k in bbox_candidate_pairs(segs, segs):
-        if k <= i:
+    pts = [p for s in segs for p in (s.p, s.q)]
+    shifts = [(k, j) for (k, j) in translate_range(pts, pts, pad=0) if j == 0]
+    for v, i, k in bbox_candidate_pairs(segs, segs, shifts):
+        if v == (0, 0) and k <= i:
             continue
-        s, other = segs[i], segs[k]
-        res = segment_intersection(s, other)
+        res = segment_intersection(segs[i], shift_segment(segs[k], v))
         if isinstance(res, Empty):
             continue
-        if isinstance(res, Overlap):
-            return False
-        if k - i == 1 and res.point == s.q:
+        # each segment may touch its successor at the shared vertex only,
+        # and the arc must avoid its own horizontal translates
+        if (
+            v == (0, 0)
+            and k - i == 1
+            and not isinstance(res, Overlap)
+            and res.point == segs[i].q
+        ):
             continue
         return False
-    # and the arc must avoid its own horizontal translates
-    pts = [p for s in segs for p in (s.p, s.q)]
-    for (k, j) in translate_range(pts, pts, pad=0):
-        if j != 0 or k == 0:
-            continue
-        w = (Fraction(k), Fraction(0))
-        moved_all = [Segment(vadd(s.p, w), vadd(s.q, w)) for s in segs]
-        for i, m in bbox_candidate_pairs(moved_all, segs):
-            if not isinstance(segment_intersection(moved_all[i], segs[m]), Empty):
-                return False
     return True
 
 
@@ -487,26 +475,27 @@ def _removal_ok(cand, new: Segment) -> bool:
     ni = next(
         (k for k, s in enumerate(segs) if s.p == new.p and s.q == new.q), None
     )
-    for k, s in enumerate(segs):
-        if k == ni:
+    pts = [p for s in segs for p in (s.p, s.q)]
+    shifts = [(0, 0)] + [
+        (k, j)
+        for (k, j) in translate_range([new.p, new.q], pts, pad=0)
+        if j == 0 and k != 0
+    ]
+    for v, k, _ in bbox_candidate_pairs(segs, [new], shifts):
+        if v == (0, 0) and k == ni:
             continue
-        res = segment_intersection(new, s)
+        res = segment_intersection(shift_segment(new, v), segs[k])
         if isinstance(res, Empty):
             continue
-        if isinstance(res, Overlap):
-            return False
-        if ni is not None and abs(k - ni) == 1 and res.point in (new.p, new.q):
+        if (
+            v == (0, 0)
+            and ni is not None
+            and abs(k - ni) == 1
+            and not isinstance(res, Overlap)
+            and res.point in (new.p, new.q)
+        ):
             continue
         return False
-    pts = [p for s in segs for p in (s.p, s.q)]
-    for (k, j) in translate_range([new.p, new.q], pts, pad=0):
-        if j != 0 or k == 0:
-            continue
-        w = (Fraction(k), Fraction(0))
-        moved = Segment(vadd(new.p, w), vadd(new.q, w))
-        for s in segs:
-            if not isinstance(segment_intersection(moved, s), Empty):
-                return False
     return True
 
 
@@ -739,20 +728,6 @@ def _boundary_hug_delta(cross: Sequence[TorusCurve], x: RatPoint):
     x = torus_rep(x)
     _faces, arr = complement_components(list(cross), _with_arrangement=True)
 
-    parent = list(range(len(arr.face_walks)))
-
-    def find(y):
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        return y
-
-    for e, ed in enumerate(arr.edges):
-        if ed["label"] >= arr.n_input:
-            parent[find(arr.face_of_dart[2 * e])] = find(
-                arr.face_of_dart[2 * e + 1]
-            )
-
     def next_real(d):
         # scaffold edges are passable, so drop their darts from the fans
         e = arr.next_ccw[d ^ 1]
@@ -801,8 +776,8 @@ def _boundary_hug_delta(cross: Sequence[TorusCurve], x: RatPoint):
                 for w1, w2 in pairs.values()
             ):
                 continue
-            f1 = find(arr.face_of_dart[fan[(s1 + 1) % m][1]])
-            f2 = find(arr.face_of_dart[fan[(s2 + 1) % m][1]])
+            f1 = arr.walk_face[arr.face_of_dart[fan[(s1 + 1) % m][1]]]
+            f2 = arr.walk_face[arr.face_of_dart[fan[(s2 + 1) % m][1]]]
             if f1 != f2:
                 continue
             walk = corner_walk(s1, s2)

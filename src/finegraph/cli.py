@@ -4,7 +4,9 @@ chain-certificate verification, property-suite runs, and SVG renderings.
 All verdicts are printed as JSON tagged with the schema version; rationals
 are serialized as "p/q" strings.  Exit codes: 0 success, 1 suite or
 certificate violation, 2 parse error, 3 input curve not a vertex, 4
-infinite width when an explicit path was requested.  Same command, seed and
+infinite width when an explicit path was requested, 5 width operands the
+width computation cannot handle (no common cut class, a non-generic
+contact, or no channel for an explicit path).  Same command, seed and
 inputs always produce byte-identical output.  SVG files are advisory
 renderings for human inspection; nothing downstream depends on them.
 """
@@ -41,8 +43,10 @@ from .fine_graph import (
 )
 from .generators import REALIZABLE_TYPES, rand_chain_triple, rand_clique3, rand_vertex
 from .germs_width import (
+    DegenerateBigon,
     GermSpec,
     InfiniteWidth,
+    NonGeneric,
     distance_path,
     germ_width,
     relative_width,
@@ -65,6 +69,7 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_NOT_A_VERTEX = 3
 EXIT_INFINITE = 4
+EXIT_DEGENERATE = 5
 
 F = Fraction
 
@@ -238,6 +243,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_width(args) -> int:
+    try:
+        return _width(args)
+    except (NonGeneric, DegenerateBigon) as exc:
+        sys.stderr.write(f"width not computable: {exc}\n")
+        return EXIT_DEGENERATE
+
+
+def _width(args) -> int:
     data = _load_json(args.input)
     if isinstance(data, dict) and "a" in data and "b" in data:
         raw = [data["a"], data["b"]]
@@ -249,6 +262,9 @@ def cmd_width(args) -> int:
     germs = isinstance(a, GermSpec) + isinstance(b, GermSpec)
     if germs == 1:
         raise ParseFailure("cannot mix a germ with a curve or arc")
+    for c in (a, b):
+        if isinstance(c, TorusCurve):
+            check_vertex(c)
     if germs == 2:
         res = germ_width(a, b)
         if args.path and res.width == INFINITE:

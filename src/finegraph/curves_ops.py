@@ -17,15 +17,12 @@ from typing import Optional, Sequence
 from .geom_core import (
     Empty,
     Overlap,
-    PointHit,
     RatPoint,
     Segment,
-    bbox_candidate_pairs,
     cross,
     dist2,
     orient,
     segment_intersection,
-    sign,
     smul,
     vadd,
     vsub,

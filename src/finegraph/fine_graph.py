@@ -20,7 +20,6 @@ from .geom_core import (
     RatPoint,
     Segment,
     cross,
-    dist2,
     segment_intersection,
     smul,
     vadd,
@@ -28,12 +27,14 @@ from .geom_core import (
 )
 from .curves_ops import (
     TRANSVERSE,
+    ClearanceFailure,
     SideChoice,
     intersect_curves,
     push_aside,
 )
 from .routing import SegmentSet, curves_segment_set, torus_route
 from .surfaces import (
+    Arrangement,
     Face,
     TorusCurve,
     _CurveTrace,
@@ -140,17 +141,6 @@ def is_edge(a: TorusCurve, b: TorusCurve):
     if len(rep.points) == 1 and rep.points[0][1] == TRANSVERSE:
         return TransverseEdge(rep.points[0][0])
     return NonEdge()
-
-
-def point_of_edge(e: EdgeT) -> RatPoint:
-    return torus_rep(e.point)
-
-
-def edge_of(a: TorusCurve, b: TorusCurve) -> EdgeT:
-    tag = is_edge(a, b)
-    if not isinstance(tag, TransverseEdge):
-        raise NotAClique("expected a transverse edge")
-    return EdgeT(a, b, tag.point)
 
 
 def classify_clique3(a: TorusCurve, b: TorusCurve, c: TorusCurve) -> Clique3Report:
@@ -318,12 +308,23 @@ def _point_on_curves(p: RatPoint, curves: Sequence[TorusCurve]) -> bool:
 
 class _FaceLocator:
     """Maps points to complementary faces by flooding a rational grid from
-    each face witness; grid edges are checked exactly against the curves."""
+    each face witness; grid edges are checked exactly against the curves.
 
-    def __init__(self, curves: Sequence[TorusCurve], faces: Sequence[Face], n=32):
+    ``faces`` are ``complement_components(curves)`` in that order, and
+    ``arr`` the arrangement they came from, if the caller holds it; the
+    exact fallback rebuilds it from the curves otherwise."""
+
+    def __init__(
+        self,
+        curves: Sequence[TorusCurve],
+        faces: Sequence[Face],
+        arr: Optional[Arrangement] = None,
+        n=32,
+    ):
         self.curves = list(curves)
         self.faces = list(faces)
         self.obstacles = curves_segment_set(self.curves)
+        self._arr = arr
         self.n = n
         self._flood()
 
@@ -375,42 +376,15 @@ class _FaceLocator:
             self._flood()
 
     def _build_exact(self):
-        faces2, arr = complement_components(self.curves, _with_arrangement=True)
-        parent = list(range(len(arr.face_walks)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e, ed in enumerate(arr.edges):
-            if ed["label"] >= arr.n_input:
-                parent[find(arr.face_of_dart[2 * e])] = find(
-                    arr.face_of_dart[2 * e + 1]
-                )
-        # merged faces come out in first-appearance order of their root, so
-        # group index gi matches faces2[gi]; map back into self.faces by the
-        # witness in case the locator was built from a reordered list
-        reps: list[int] = []
-        walk_face: dict[int, int] = {}
-        for w in range(len(arr.face_walks)):
-            r = find(w)
-            if r not in reps:
-                reps.append(r)
-            fc = faces2[reps.index(r)]
-            walk_face[w] = next(
-                i
-                for i, f in enumerate(self.faces)
-                if f.witness == fc.witness and f.curves == fc.curves
+        if self._arr is None:
+            _faces, self._arr = complement_components(
+                self.curves, _with_arrangement=True
             )
         segs = []
-        for e, ed in enumerate(arr.edges):
+        for e, ed in enumerate(self._arr.edges):
             g = ed["geom"]
             for i in range(len(g) - 1):
                 segs.append((Segment(g[i], g[i + 1]), e, vsub(g[i + 1], g[i])))
-        self._arr = arr
-        self._walk_face = walk_face
         self._arr_segs = segs
         self._arr_pts = [q for s, _, _ in segs for q in (s.p, s.q)]
 
@@ -420,7 +394,7 @@ class _FaceLocator:
         Reaches points inside faces thinner than any grid step: the first
         edge hit by the ray names the face through the dart whose right
         side contains the ray origin."""
-        if not hasattr(self, "_arr"):
+        if not hasattr(self, "_arr_segs"):
             self._build_exact()
         one = Fraction(1)
         for v in (
@@ -462,7 +436,7 @@ class _FaceLocator:
             if len(first) > 1 or at_end or cross(w, v) == 0:
                 continue
             d = 2 * e if cross(w, v) > 0 else 2 * e + 1
-            return self._walk_face[self._arr.face_of_dart[d]]
+            return self._arr.walk_face[self._arr.face_of_dart[d]]
         raise WitnessSearchFailed("face location failed")
 
 
@@ -964,18 +938,9 @@ def refute_N(
     curves = [a, b, c]
     for al in alphas:
         check_vertex(al)
-    faces, _arr = complement_components(curves, _with_arrangement=True)
-    locator = _FaceLocator(curves, faces)
+    faces, arr = complement_components(curves, _with_arrangement=True)
+    locator = _FaceLocator(curves, faces, arr)
     all_faces = set(range(len(faces)))
-
-    candidates = []
-    for u in curves:
-        obstacles = [v for v in curves if v is not u]
-        for side in (SideChoice.LEFT, SideChoice.RIGHT):
-            try:
-                candidates.append(push_aside(u, side, obstacles=obstacles))
-            except Exception:
-                pass
 
     def routed_candidates():
         for size in (3, 2, 1):
@@ -994,6 +959,15 @@ def refute_N(
                 loop = _routed_loop(curves, order, locator, groups)
                 if loop is not None:
                     yield loop
+
+    def pushed_candidates():
+        for u in curves:
+            obstacles = [v for v in curves if v is not u]
+            for side in (SideChoice.LEFT, SideChoice.RIGHT):
+                try:
+                    yield push_aside(u, side, obstacles=obstacles)
+                except ClearanceFailure:
+                    pass
 
     def finish(d):
         for al in alphas:
@@ -1023,7 +997,7 @@ def refute_N(
     # routed loops live on grid nodes, a comfortable clearance from the
     # input curves; pushed-aside copies hug their parent in a channel the
     # finger router may not resolve, so try them second
-    for d in itertools.chain(routed_candidates(), candidates):
+    for d in itertools.chain(routed_candidates(), pushed_candidates()):
         try:
             if not _is_4clique(d, curves):
                 continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fine_graph import (
     ALL_DISJOINT,
@@ -27,7 +27,7 @@ from .fine_graph import (
     classify_clique3,
     is_edge,
 )
-from .geom_core import pt, vadd
+from .geom_core import pt
 from .surfaces import TorusCurve, torus_curve_simple, torus_rep
 
 PRIMITIVE_CLASSES = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]

@@ -2,7 +2,7 @@
 
 Points are pairs of ``fractions.Fraction``.  All predicates are exact; no
 floating point enters any decision.  Floats appear only inside the
-conservative bounding-box prefilter used to skip obviously disjoint segment
+conservative padded-box prefilter used to skip obviously disjoint segment
 pairs, and every candidate surviving the prefilter is confirmed exactly.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rat = Fraction
 RatPoint = tuple[Fraction, Fraction]
@@ -38,10 +38,6 @@ def smul(t: Fraction, p: RatPoint) -> RatPoint:
 
 def cross(u: RatPoint, v: RatPoint) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
-
-
-def dot(u: RatPoint, v: RatPoint) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1]
 
 
 def norm2(u: RatPoint) -> Fraction:
@@ -140,8 +136,10 @@ def segment_intersection(s1: Segment, s2: Segment) -> IntersectionResult:
     return PointHit(p, 0 < t < 1, 0 < u < 1)
 
 
-def segments_touch(s1: Segment, s2: Segment) -> bool:
-    return not isinstance(segment_intersection(s1, s2), Empty)
+def shift_segment(s: Segment, v: tuple[int, int]) -> Segment:
+    """s translated by the integer vector v."""
+    w = (Fraction(v[0]), Fraction(v[1]))
+    return Segment(vadd(s.p, w), vadd(s.q, w))
 
 
 def polyline_edges(path: Sequence[RatPoint], closed: bool) -> list[Segment]:
@@ -172,34 +170,40 @@ def polyline_self_intersects(path: Sequence[RatPoint], closed: bool = False) -> 
     return False
 
 
-def bbox_candidate_pairs(
-    segs1: Sequence[Segment], segs2: Sequence[Segment]
-) -> Iterable[tuple[int, int]]:
-    """Indices of segment pairs whose padded float boxes overlap.
+def float_box(px: float, py: float, qx: float, qy: float):
+    """Float box (x0, x1, y0, y1) of the segment from (px, py) to (qx, qy),
+    padded outward by far more than the error of converting its exact
+    coordinates to floats: boxes padded this way overlap whenever the exact
+    segments meet."""
+    x0, x1 = (px, qx) if px <= qx else (qx, px)
+    y0, y1 = (py, qy) if py <= qy else (qy, py)
+    pad = 1e-9 * (1.0 + max(abs(x0), abs(x1), abs(y0), abs(y1)))
+    return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
 
-    Conservative: float boxes are rounded outward, so no true intersection is
-    ever skipped.  Callers must confirm candidates exactly.
+
+def bbox_candidate_pairs(
+    segs1: Sequence[Segment],
+    segs2: Sequence[Segment],
+    shifts: Iterable[tuple[int, int]] = ((0, 0),),
+) -> Iterator[tuple[tuple[int, int], int, int]]:
+    """(v, i, j) for each shift v and each pair with segs1[i] and segs2[j] + v
+    in overlapping padded float boxes, in the order of shifts, then i, then j.
+
+    Conservative: no pair that meets exactly is ever skipped, so callers
+    confirm candidates exactly and build shifted segments only for them.
     """
-    import numpy as np
 
     def boxes(segs):
-        arr = np.empty((len(segs), 4))
-        for i, s in enumerate(segs):
-            x0, x1 = sorted((float(s.p[0]), float(s.q[0])))
-            y0, y1 = sorted((float(s.p[1]), float(s.q[1])))
-            pad = 1e-9 * (1.0 + max(abs(x0), abs(x1), abs(y0), abs(y1)))
-            arr[i] = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
-        return arr
+        return [
+            float_box(float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1]))
+            for s in segs
+        ]
 
-    b1 = boxes(segs1)
-    b2 = boxes(segs2)
-    if not len(b1) or not len(b2):
-        return
-    ok = (
-        (b1[:, None, 0] <= b2[None, :, 1])
-        & (b2[None, :, 0] <= b1[:, None, 1])
-        & (b1[:, None, 2] <= b2[None, :, 3])
-        & (b2[None, :, 2] <= b1[:, None, 3])
-    )
-    for i, j in zip(*ok.nonzero()):
-        yield int(i), int(j)
+    boxes1, boxes2 = boxes(segs1), boxes(segs2)
+    for v in shifts:
+        vx, vy = float(v[0]), float(v[1])
+        moved = [(x0 + vx, x1 + vx, y0 + vy, y1 + vy) for x0, x1, y0, y1 in boxes2]
+        for i, (ax0, ax1, ay0, ay1) in enumerate(boxes1):
+            for j, (bx0, bx1, by0, by1) in enumerate(moved):
+                if bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1:
+                    yield v, i, j

@@ -27,13 +27,14 @@ from .geom_core import (
     Segment,
     bbox_candidate_pairs,
     cross,
-    orient,
     segment_intersection,
+    shift_segment,
     smul,
     vadd,
     vsub,
 )
 from .arc_graphs import _map_curve, _normalizer
+from .routing import SegmentSet
 from .surfaces import (
     INFINITE,
     AnnulusArc,
@@ -100,25 +101,20 @@ def _segments(path: Sequence[RatPoint]) -> list[Segment]:
     ]
 
 
-def _paths_hit(u: Sequence[RatPoint], v: Sequence[RatPoint]) -> bool:
-    su, sv = _segments(u), _segments(v)
-    for i, j in bbox_candidate_pairs(su, sv):
-        if not isinstance(segment_intersection(su[i], sv[j]), Empty):
-            return True
-    return False
-
-
 def _shift_hits(u: Sequence[RatPoint], v: Sequence[RatPoint]) -> set:
     """{k : u + (k,0) meets v} for two lifted strip arcs."""
     xs_u = [p[0] for p in u]
     xs_v = [p[0] for p in v]
     lo = math.ceil(min(xs_v) - max(xs_u))
     hi = math.floor(max(xs_v) - min(xs_u))
+    su, sv = _segments(u), _segments(v)
     out = set()
-    for k in range(lo, hi + 1):
-        w = (Fraction(k), Fraction(0))
-        if _paths_hit([vadd(p, w) for p in u], v):
-            out.add(k)
+    shifts = [(k, 0) for k in range(lo, hi + 1)]
+    for w, j, i in bbox_candidate_pairs(sv, su, shifts):
+        if w[0] in out:
+            continue
+        if not isinstance(segment_intersection(shift_segment(su[i], w), sv[j]), Empty):
+            out.add(w[0])
     return out
 
 
@@ -207,14 +203,6 @@ def _inside_strip(p: RatPoint, wall: Sequence[RatPoint]) -> bool:
     return r0 == 1 and r1 == 0
 
 
-def _seg_clear(seg: Segment, blockers: list[list[Segment]]) -> bool:
-    for segs in blockers:
-        for s in segs:
-            if not isinstance(segment_intersection(seg, s), Empty):
-                return False
-    return True
-
-
 def _thread_strip(
     wall: Sequence[RatPoint],
     obstacles: Sequence[Sequence[RatPoint]],
@@ -224,12 +212,10 @@ def _thread_strip(
 ) -> Optional[list[RatPoint]]:
     """A PL arc from y=0 to y=1 strictly inside the strip between the wall
     and its (1,0) translate, avoiding the obstacle polylines."""
-    walls = [
-        _segments(wall),
-        _segments([vadd(p, (Fraction(1), Fraction(0))) for p in wall]),
-    ]
-    obs = [_segments(o) for o in obstacles]
-    blockers = walls + obs
+    right = [vadd(p, (Fraction(1), Fraction(0))) for p in wall]
+    blockers = SegmentSet(
+        [s for path in (wall, right, *obstacles) for s in _segments(path)]
+    )
     while n <= max_n:
         # salts shift the grid off any wall vertices left by earlier
         # threading rounds at the same resolution
@@ -256,7 +242,7 @@ def _path_simple(path: list[RatPoint]) -> bool:
     return True
 
 
-def _slim(path: list[RatPoint], blockers) -> list[RatPoint]:
+def _slim(path: list[RatPoint], blockers: SegmentSet) -> list[RatPoint]:
     """Greedy straightening: drop interior vertices whose bridging segment
     stays clear of walls and obstacles."""
     out = list(path)
@@ -265,7 +251,7 @@ def _slim(path: list[RatPoint], blockers) -> list[RatPoint]:
         changed = False
         i = 1
         while i < len(out) - 1:
-            if _seg_clear(Segment(out[i - 1], out[i + 1]), blockers):
+            if not blockers.hits(Segment(out[i - 1], out[i + 1])):
                 del out[i]
                 changed = True
             else:
@@ -331,7 +317,7 @@ def _thread_grid(wall, blockers, n, waypoint, salt):
                 return False
             if nxt in prev:
                 return True
-            if not _seg_clear(Segment(node(*src), node(*nxt)), blockers):
+            if blockers.hits(Segment(node(*src), node(*nxt))):
                 return False
             prev[nxt] = src
             queue.append(nxt)
@@ -387,18 +373,17 @@ def _thread_grid(wall, blockers, n, waypoint, salt):
     return [(stub[cells[0]], Fraction(0))] + pts + [(stub[cells[-1]], Fraction(1))]
 
 
-def _boundary_mids(blockers, y):
+def _boundary_mids(blockers: SegmentSet, y):
     xs = set()
-    for segs in blockers:
-        for s in segs:
-            ya, yb = s.p[1], s.q[1]
-            if ya == y:
-                xs.add(s.p[0])
-            if yb == y:
-                xs.add(s.q[0])
-            if (ya - y) * (yb - y) < 0:
-                t = (y - ya) / (yb - ya)
-                xs.add(s.p[0] + t * (s.q[0] - s.p[0]))
+    for s in blockers.segs:
+        ya, yb = s.p[1], s.q[1]
+        if ya == y:
+            xs.add(s.p[0])
+        if yb == y:
+            xs.add(s.q[0])
+        if (ya - y) * (yb - y) < 0:
+            t = (y - ya) / (yb - ya)
+            xs.add(s.p[0] + t * (s.q[0] - s.p[0]))
     xs = sorted(xs)
     return [(u + v) / 2 for u, v in zip(xs, xs[1:])]
 
@@ -407,7 +392,7 @@ def _stub_x(p, y, mids, blockers, n, depth=0):
     reach = Fraction(8 * (depth + 1), n)
     cands = [p[0]] + [m for m in mids if abs(m - p[0]) <= reach]
     for x in cands:
-        if _seg_clear(Segment(p, (x, y)), blockers):
+        if not blockers.hits(Segment(p, (x, y))):
             return x
     return None
 
@@ -452,12 +437,12 @@ def distance_path(a: AnnulusArc, b: AnnulusArc) -> list[AnnulusArc]:
         # geometrically pinched against the wall, so try both
         step = None
         for lo_k, hi_k in ((K[0] - 1, K[-1]), (K[0], K[-1] + 1)):
+            if w > 1 and _obstacles_collide(b.lift, lo_k, hi_k, list(cur.lift)):
+                continue
             obs = [
                 [vadd(p, (Fraction(-lo_k), Fraction(0))) for p in b.lift],
                 [vadd(p, (Fraction(-hi_k), Fraction(0))) for p in b.lift],
             ]
-            if w > 1 and _obstacles_collide(obs, list(cur.lift)):
-                continue
             got = _thread_strip(list(cur.lift), obs)
             if got is None:
                 continue
@@ -477,15 +462,18 @@ def distance_path(a: AnnulusArc, b: AnnulusArc) -> list[AnnulusArc]:
     return path
 
 
-def _obstacles_collide(obs, wall) -> bool:
-    s0, s1 = _segments(obs[0]), _segments(obs[1])
-    for i, j in bbox_candidate_pairs(s0, s1):
-        res = segment_intersection(s0[i], s1[j])
+def _obstacles_collide(lift, lo_k: int, hi_k: int, wall) -> bool:
+    """Do the translates of lift by (-lo_k, 0) and (-hi_k, 0) meet inside
+    the strip along wall?"""
+    segs = _segments(lift)
+    back = (Fraction(-lo_k), Fraction(0))
+    for v, i, j in bbox_candidate_pairs(segs, segs, [(lo_k - hi_k, 0)]):
+        res = segment_intersection(segs[i], shift_segment(segs[j], v))
         if isinstance(res, Overlap):
             return True
         if isinstance(res, Empty):
             continue
-        if _inside_strip(res.point, wall):
+        if _inside_strip(vadd(res.point, back), wall):
             return True
     return False
 
@@ -669,7 +657,7 @@ def _copy_pair_hits(p1, p2):
     """Transverse interior intersections of two copy polylines; exact."""
     s1, s2 = _segments(p1), _segments(p2)
     out = []
-    for i, j in bbox_candidate_pairs(s1, s2):
+    for _, i, j in bbox_candidate_pairs(s1, s2):
         res = segment_intersection(s1[i], s2[j])
         if isinstance(res, Empty):
             continue

@@ -11,16 +11,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .geom_core import (
     Empty,
     RatPoint,
     Segment,
+    float_box,
     segment_intersection,
+    shift_segment,
     vadd,
 )
-from .surfaces import TorusCurve
+
+if TYPE_CHECKING:
+    from .surfaces import TorusCurve
 
 
 def _surely_disjoint(px, py, qx, qy, ax, ay, bx, by) -> bool:
@@ -68,16 +72,11 @@ class SegmentSet:
         self.wrap_x = wrap_x
         self.wrap_y = wrap_y
         self._pts = [p for s in self.segs for p in (s.p, s.q)]
-        self._boxf = []
-        self._segf = []
-        for s in self.segs:
-            px, py = float(s.p[0]), float(s.p[1])
-            qx, qy = float(s.q[0]), float(s.q[1])
-            x0, x1 = (px, qx) if px <= qx else (qx, px)
-            y0, y1 = (py, qy) if py <= qy else (qy, py)
-            pad = 1e-9 * (1.0 + max(abs(x0), abs(x1), abs(y0), abs(y1)))
-            self._boxf.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad))
-            self._segf.append((px, py, qx, qy))
+        self._segf = [
+            (float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1]))
+            for s in self.segs
+        ]
+        self._boxf = [float_box(*f) for f in self._segf]
         if self._pts:
             xs = [float(p[0]) for p in self._pts]
             ys = [float(p[1]) for p in self._pts]
@@ -141,13 +140,11 @@ class SegmentSet:
         copy; anything within the rounding margin counts as blocked."""
         if not self.segs:
             return True
-        bx0, bx1 = (px, qx) if px <= qx else (qx, px)
-        by0, by1 = (py, qy) if py <= qy else (qy, py)
-        pad = 1e-9 * (1.0 + max(abs(bx0), abs(bx1), abs(by0), abs(by1)))
+        bx0, bx1, by0, by1 = float_box(px, py, qx, qy)
         cand = self._candidates(bx0, bx1, by0, by1)
         for (i, j) in self._translates(bx0, bx1, by0, by1):
-            a0, a1 = bx0 - i - pad, bx1 - i + pad
-            b0, b1 = by0 - j - pad, by1 - j + pad
+            a0, a1 = bx0 - i, bx1 - i
+            b0, b1 = by0 - j, by1 - j
             for k in cand:
                 sx0, sx1, sy0, sy1 = self._boxf[k]
                 if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
@@ -164,14 +161,12 @@ class SegmentSet:
         allow = set(allow)
         px, py = float(seg.p[0]), float(seg.p[1])
         qx, qy = float(seg.q[0]), float(seg.q[1])
-        bx0, bx1 = (px, qx) if px <= qx else (qx, px)
-        by0, by1 = (py, qy) if py <= qy else (qy, py)
-        pad = 1e-9 * (1.0 + max(abs(bx0), abs(bx1), abs(by0), abs(by1)))
+        bx0, bx1, by0, by1 = float_box(px, py, qx, qy)
         cand = self._candidates(bx0, bx1, by0, by1)
         for (i, j) in self._translates(bx0, bx1, by0, by1):
             fi, fj = float(i), float(j)
-            a0, a1 = bx0 - fi - pad, bx1 - fi + pad
-            b0, b1 = by0 - fj - pad, by1 - fj + pad
+            a0, a1 = bx0 - fi, bx1 - fi
+            b0, b1 = by0 - fj, by1 - fj
             moved = None
             for k in cand:
                 sx0, sx1, sy0, sy1 = self._boxf[k]
@@ -184,8 +179,7 @@ class SegmentSet:
                 ):
                     return True
                 if moved is None:
-                    v = (Fraction(-i), Fraction(-j))
-                    moved = Segment(vadd(seg.p, v), vadd(seg.q, v))
+                    moved = shift_segment(seg, (-i, -j))
                 res = segment_intersection(moved, self.segs[k])
                 if isinstance(res, Empty):
                     continue

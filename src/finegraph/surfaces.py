@@ -9,28 +9,27 @@ many integer translates that can meet a bounding box, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .geom_core import (
     Empty,
     Overlap,
-    PointHit,
     RatPoint,
     Segment,
     bbox_candidate_pairs,
     cross,
-    dist2,
     polyline_self_intersects,
-    pt,
     segment_intersection,
+    shift_segment,
     sign,
     smul,
     vadd,
     vsub,
 )
+from .routing import SegmentSet
 
 
 class SurfaceModel(Enum):
@@ -148,15 +147,12 @@ def torus_pair_hits(a: TorusCurve, b: TorusCurve):
     b with a nonempty contact; results are exact segment classifications.
     """
     segs_a = a.segments()
-    pa = a.period_path()
-    pb = b.period_path()
-    for v in translate_range(pa, pb):
-        w = (Fraction(v[0]), Fraction(v[1]))
-        segs_b = [Segment(vadd(s.p, w), vadd(s.q, w)) for s in b.segments()]
-        for i, j in bbox_candidate_pairs(segs_a, segs_b):
-            res = segment_intersection(segs_a[i], segs_b[j])
-            if not isinstance(res, Empty):
-                yield i, j, v, res
+    segs_b = b.segments()
+    shifts = translate_range(a.period_path(), b.period_path())
+    for v, i, j in bbox_candidate_pairs(segs_a, segs_b, shifts):
+        res = segment_intersection(segs_a[i], shift_segment(segs_b[j], v))
+        if not isinstance(res, Empty):
+            yield i, j, v, res
 
 
 def torus_curve_simple(c: TorusCurve) -> bool:
@@ -165,27 +161,21 @@ def torus_curve_simple(c: TorusCurve) -> bool:
     if polyline_self_intersects(path, closed=False):
         return False
     h = c.homology
-    segs = [Segment(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    for v in translate_range(path, path):
-        if v == (0, 0):
+    segs = c.segments()
+    shifts = [v for v in translate_range(path, path) if v != (0, 0)]
+    for v, i, j in bbox_candidate_pairs(segs, segs, shifts):
+        res = segment_intersection(segs[i], shift_segment(segs[j], v))
+        if isinstance(res, Empty):
             continue
-        w = (Fraction(v[0]), Fraction(v[1]))
-        tsegs = [Segment(vadd(s.p, w), vadd(s.q, w)) for s in segs]
-        allowed: set[RatPoint] = set()
-        if h != (0, 0):
-            # consecutive periods are forced to share one endpoint
-            if v == h:
-                allowed.add(path[-1])
-            if v == (-h[0], -h[1]):
-                allowed.add(path[0])
-        for i, j in bbox_candidate_pairs(segs, tsegs):
-            res = segment_intersection(segs[i], tsegs[j])
-            if isinstance(res, Empty):
-                continue
-            if isinstance(res, Overlap):
-                return False
-            if res.point not in allowed:
-                return False
+        if isinstance(res, Overlap):
+            return False
+        # consecutive periods are forced to share one endpoint
+        if h != (0, 0) and (
+            (v == h and res.point == path[-1])
+            or (v == (-h[0], -h[1]) and res.point == path[0])
+        ):
+            continue
+        return False
     return True
 
 
@@ -236,17 +226,6 @@ class AnnulusArc:
             self.model, [vadd(p, w) for p in self.lift], self.end_rays
         )
 
-    def is_simple(self) -> bool:
-        if polyline_self_intersects(list(self.lift), closed=False):
-            return False
-        # contacts with horizontal deck translates of itself
-        for k in _x_shift_range(self.lift, self.lift):
-            if k == 0:
-                continue
-            if _arc_pair_hit(self, self.shifted(k)):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class DeckShift:
@@ -278,7 +257,10 @@ def _ray_segments(arc: AnnulusArc, span: Fraction) -> list[Segment]:
     return out
 
 
-def _arc_pair_hit(a: AnnulusArc, b: AnnulusArc) -> bool:
+def lift_translates_hit(a: AnnulusArc, b: AnnulusArc):
+    """K = {k : T^k(lift a) meets lift b}; exact, finite for these models."""
+    if a.model is not b.model:
+        raise ModelMismatch(f"{a.model} vs {b.model}")
     _, _, ay0, ay1 = _bbox(a.lift)
     _, _, by0, by1 = _bbox(b.lift)
     span = abs(ay1 - ay0) + abs(by1 - by0) + max(
@@ -286,28 +268,21 @@ def _arc_pair_hit(a: AnnulusArc, b: AnnulusArc) -> bool:
     ) + 1
     segs_a = a.segments() + _ray_segments(a, span)
     segs_b = b.segments() + _ray_segments(b, span)
-    for i, j in bbox_candidate_pairs(segs_a, segs_b):
-        if not isinstance(segment_intersection(segs_a[i], segs_b[j]), Empty):
-            return True
-    # parallel co-directed rays escape any finite box: same x, same sign
-    for sa in ((0, a.end_rays[0]), (-1, a.end_rays[1])):
-        for sb in ((0, b.end_rays[0]), (-1, b.end_rays[1])):
-            if sa[1] and sa[1] == sb[1]:
-                if a.lift[sa[0]][0] == b.lift[sb[0]][0]:
-                    return True
-    return False
-
-
-def lift_translates_hit(a: AnnulusArc, b: AnnulusArc):
-    """K = {k : T^k(lift a) meets lift b}; exact, finite for these models."""
-    if a.model is not b.model:
-        raise ModelMismatch(f"{a.model} vs {b.model}")
-    pts_a = list(a.lift)
-    pts_b = list(b.lift)
+    shifts = [(k, 0) for k in _x_shift_range(b.lift, a.lift)]
     ks = set()
-    for k in _x_shift_range(pts_b, pts_a):
-        if _arc_pair_hit(a.shifted(k), b):
-            ks.add(k)
+    for v, j, i in bbox_candidate_pairs(segs_b, segs_a, shifts):
+        if v[0] in ks:
+            continue
+        res = segment_intersection(shift_segment(segs_a[i], v), segs_b[j])
+        if not isinstance(res, Empty):
+            ks.add(v[0])
+    # parallel co-directed rays escape any finite box: same x, same sign
+    for k, _ in shifts:
+        for sa in ((0, a.end_rays[0]), (-1, a.end_rays[1])):
+            for sb in ((0, b.end_rays[0]), (-1, b.end_rays[1])):
+                if sa[1] and sa[1] == sb[1]:
+                    if a.lift[sa[0]][0] + k == b.lift[sb[0]][0]:
+                        ks.add(k)
     return ks
 
 
@@ -379,11 +354,7 @@ class _CurveTrace:
         i = int(param) % self.n
         t = param - int(param)
         if forward:
-            if t == 0 and param == int(param):
-                idx = i
-            else:
-                idx = i
-            s = self.segs[idx]
+            s = self.segs[i]
             return vsub(s.q, s.p)
         else:
             if t == 0:
@@ -487,6 +458,15 @@ class Arrangement:
         self._build_edges()
         self._build_rotation()
         self._trace_faces()
+        self.obstacles = SegmentSet(
+            [
+                Segment(ed["geom"][i], ed["geom"][i + 1])
+                for ed in self.edges
+                for i in range(len(ed["geom"]) - 1)
+            ],
+            wrap_x=True,
+            wrap_y=True,
+        )
 
     def _mark_vertices(self):
         tr = self.traces
@@ -580,6 +560,8 @@ class Arrangement:
             )
 
     def merged_faces(self) -> list[Face]:
+        """Faces of the input curves: face walks united across scaffold
+        edges.  ``walk_face[w]`` is the index of the face holding walk w."""
         parent = list(range(len(self.face_walks)))
 
         def find(x):
@@ -597,6 +579,10 @@ class Arrangement:
         groups: dict[int, list[int]] = {}
         for w in range(len(self.face_walks)):
             groups.setdefault(find(w), []).append(w)
+        self.walk_face = [0] * len(self.face_walks)
+        for fi, walks in enumerate(groups.values()):
+            for w in walks:
+                self.walk_face[w] = fi
         out = []
         for walks in groups.values():
             labels = set()
@@ -617,35 +603,6 @@ class Arrangement:
         geom = self.edges[d // 2]["geom"]
         return geom if d % 2 == 0 else list(reversed(geom))
 
-    def _all_segments(self) -> list[Segment]:
-        if not hasattr(self, "_segs_cache"):
-            segs = []
-            for ed in self.edges:
-                g = ed["geom"]
-                for i in range(len(g) - 1):
-                    segs.append(Segment(g[i], g[i + 1]))
-            self._segs_cache = segs
-        return self._segs_cache
-
-    def _probe_clear(self, probe: Segment, base: RatPoint) -> bool:
-        """Does the probe avoid the arrangement except for touching it at its
-        base point?  Checked against all integer translates."""
-        all_pts: list[RatPoint] = []
-        for s in self._all_segments():
-            all_pts.extend((s.p, s.q))
-        for v in translate_range(all_pts, [probe.p, probe.q]):
-            vv = (Fraction(v[0]), Fraction(v[1]))
-            sp = Segment(vadd(probe.p, vv), vadd(probe.q, vv))
-            anchor = vadd(base, vv)
-            for s in self._all_segments():
-                res = segment_intersection(sp, s)
-                if isinstance(res, Empty):
-                    continue
-                if isinstance(res, PointHit) and res.point == anchor:
-                    continue
-                return False
-        return True
-
     def _interior_witness(self, walks: list[int]) -> RatPoint:
         # face orbits follow next_ccw(reverse(dart)), which walks the face to
         # the RIGHT of each dart; offset a dart midpoint to its right and
@@ -659,7 +616,7 @@ class Arrangement:
                 eps = Fraction(1, 8)
                 for _ in range(60):
                     cand = vadd(mid, smul(eps, nrm))
-                    if self._probe_clear(Segment(mid, cand), mid):
+                    if not self.obstacles.hits(Segment(mid, cand), allow=[mid]):
                         return torus_rep(cand)
                     eps /= 2
         raise RuntimeError("could not place an interior witness")

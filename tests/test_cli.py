@@ -1,6 +1,13 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import finegraph
 
 from finegraph.arc_graphs import bouquet_chain
 from finegraph.cli import main
@@ -107,6 +114,44 @@ def test_width_three_winding_with_path(tmp_path, capsys):
     assert code == 0
     assert out["width"] == 3 and out["distance"] == 4
     assert len(out["path"]) == 5
+
+
+@pytest.mark.parametrize(
+    "fix, want",
+    [
+        # a lift of class (5,0) that is not simple: not a vertex
+        ({"a": {"lift": [["0", "1/3"], ["5", "1/3"]]},
+          "b": {"lift": [["0", "2/3"], ["1", "2/3"]]}}, 3),
+        # simple vertices of classes (7,1) and (1,7): no common cut class
+        ({"a": {"lift": [["0", "0"], ["7", "1"]]},
+          "b": {"lift": [["0", "1/2"], ["1", "15/2"]]}}, 5),
+    ],
+)
+def test_width_rejects_without_traceback(tmp_path, capsys, fix, want):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(fix))
+    code = main(["width", str(f)])
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_classify_runs_without_numpy(tmp_path):
+    f = tmp_path / "necklace.json"
+    f.write_text(json.dumps(NECKLACE_FIXTURE))
+    src = str(Path(finegraph.__file__).resolve().parent.parent)
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "from finegraph.cli import main; code = main(['classify', sys.argv[2]]);"
+        "print('numpy' in sys.modules); sys.exit(code)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, src, str(f)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert '"clique_type": "necklace"' in done.stdout
+    assert done.stdout.rstrip().endswith("False")
 
 
 def test_width_infinite_germ(tmp_path, capsys):

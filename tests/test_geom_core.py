@@ -10,12 +10,15 @@ from finegraph.geom_core import (
     Overlap,
     PointHit,
     Segment,
+    bbox_candidate_pairs,
     orient,
     polyline_self_intersects,
     pt,
     segment_intersection,
+    shift_segment,
     vadd,
 )
+from finegraph.routing import SegmentSet
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 points = st.tuples(rats, rats)
@@ -135,3 +138,109 @@ def test_polyline_adjacent_backtrack_detected():
     # adjacent edges overlapping beyond the shared vertex
     path = [pt(0, 0), pt(2, 0), pt(1, 0)]
     assert polyline_self_intersects(path, closed=False)
+
+
+# ------------------------------------------------------ the float prefilter
+
+big = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+shift_st = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def segment_lists(draw):
+    """Segments over a shared point pool, with axis-parallel pieces and
+    collinear sub-segments, so that shared endpoints and overlaps occur."""
+    pool = draw(st.lists(st.tuples(big, big), min_size=2, max_size=6, unique=True))
+    segs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("pool", "axis", "sub")))
+        p = draw(st.sampled_from(pool))
+        if kind == "pool":
+            q = draw(st.sampled_from(pool))
+        elif kind == "axis":
+            d = draw(big.filter(lambda x: x != 0))
+            q = (p[0] + d, p[1]) if draw(st.booleans()) else (p[0], p[1] + d)
+        else:
+            q = draw(st.sampled_from(pool))
+            t, u = draw(st.fractions(0, 1, max_denominator=10**6)), draw(
+                st.fractions(0, 1, max_denominator=10**6)
+            )
+            p, q = (
+                (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t),
+                (p[0] + (q[0] - p[0]) * u, p[1] + (q[1] - p[1]) * u),
+            )
+        if p != q:
+            segs.append(Segment(p, q))
+    return segs
+
+
+@given(
+    segment_lists(),
+    segment_lists(),
+    st.lists(shift_st, min_size=1, max_size=4, unique=True),
+    st.data(),
+)
+def test_bbox_candidates_keep_every_contact_in_order(segs1, segs2, shifts, data):
+    # some copies of segs1 moved back by a shift, so that shifted contacts
+    # (collinear overlaps and shared endpoints among them) certainly occur
+    for s in segs1[:2]:
+        v = data.draw(st.sampled_from(shifts))
+        segs2 = segs2 + [shift_segment(s, (-v[0], -v[1]))]
+    got = list(bbox_candidate_pairs(segs1, segs2, shifts))
+    rank = [(shifts.index(v), i, j) for v, i, j in got]
+    assert rank == sorted(rank) and len(set(rank)) == len(rank)
+    want = [
+        (v, i, j)
+        for v in shifts
+        for i, s1 in enumerate(segs1)
+        for j, s2 in enumerate(segs2)
+        if not isinstance(segment_intersection(s1, shift_segment(s2, v)), Empty)
+    ]
+    got_set = set(got)
+    assert all(c in got_set for c in want)
+
+
+def test_bbox_candidates_skip_distant_boxes():
+    a = [Segment(pt(0, 0), pt(1, 0))]
+    b = [Segment(pt(0, 5), pt(1, 5)), Segment(pt(3, 0), pt(3, 1))]
+    assert list(bbox_candidate_pairs(a, b)) == []
+    assert list(bbox_candidate_pairs(a, b, [(0, -5), (-2, 0)])) == [
+        ((0, -5), 0, 0),
+        ((-2, 0), 0, 1),
+    ]
+
+
+small = st.fractions(min_value=-1, max_value=2, max_denominator=8)
+small_pts = st.tuples(small, small)
+
+
+def _brute_hits(obstacles, seg, allow, wrap_x, wrap_y):
+    for i in range(-4, 5) if wrap_x else (0,):
+        for j in range(-4, 5) if wrap_y else (0,):
+            moved = shift_segment(seg, (-i, -j))
+            for s in obstacles:
+                res = segment_intersection(moved, s)
+                if isinstance(res, Empty):
+                    continue
+                if isinstance(res, PointHit) and (res.point[0] + i, res.point[1] + j) in allow:
+                    continue
+                return True
+    return False
+
+
+@given(
+    st.lists(st.tuples(small_pts, small_pts), max_size=5),
+    small_pts,
+    small_pts,
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(("none", "start", "end")),
+)
+def test_segment_set_hits_matches_brute_force(raw, p, q, wrap_x, wrap_y, allow_kind):
+    obstacles = [Segment(a, b) for a, b in raw if a != b]
+    if p == q:
+        return
+    seg = Segment(p, q)
+    allow = {"none": [], "start": [p], "end": [q]}[allow_kind]
+    got = SegmentSet(obstacles, wrap_x=wrap_x, wrap_y=wrap_y).hits(seg, allow=allow)
+    assert got == _brute_hits(obstacles, seg, set(allow), wrap_x, wrap_y)
