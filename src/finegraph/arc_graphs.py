@@ -23,7 +23,7 @@ from .geom_core import (
     Segment,
     bbox_candidate_pairs,
     cross,
-    orient,
+    path_segments,
     segment_intersection,
     shift_segment,
     smul,
@@ -46,7 +46,9 @@ from .routing import SegmentSet, torus_route
 from .surfaces import (
     TorusCurve,
     _CurveTrace,
+    _x_shift_range,
     complement_components,
+    lift_on_path,
     sort_directions,
     torus_pair_hits,
     torus_rep,
@@ -113,18 +115,10 @@ def _drop_collinear(arc: Sequence[RatPoint]) -> list[RatPoint]:
     return out
 
 
-def _arc_segments(arc: Sequence[RatPoint]) -> list[Segment]:
-    return [
-        Segment(arc[i], arc[i + 1])
-        for i in range(len(arc) - 1)
-        if arc[i] != arc[i + 1]
-    ]
-
-
 def _arc_set(arcs) -> SegmentSet:
     segs = []
     for a in arcs:
-        segs.extend(_arc_segments(a))
+        segs.extend(path_segments(a))
     return SegmentSet(segs, wrap_x=True, wrap_y=False)
 
 
@@ -149,21 +143,18 @@ class CutSurface:
     # ---------------------------------------------------------- the chart
 
     def _lift_hits(self, seg: Segment, j: int):
-        """Exact intersections of seg with the j-th vertical lift copy."""
+        """Exact intersections of seg with the j-th vertical lift copy, in
+        the frame of the stored strip base."""
         out = []
-        base = _arc_segments(self.strip_base)
-        pts = [p for s in base for p in (s.p, s.q)]
+        base = path_segments(self.strip_base)
         w = (Fraction(0), Fraction(j))
-        probe = [vsub(seg.p, w), vsub(seg.q, w)]
-        for (i, jj) in translate_range(probe, pts, pad=0):
-            if jj != 0:
-                continue
-            v = (Fraction(-i), Fraction(-jj))
-            moved = Segment(vadd(probe[0], v), vadd(probe[1], v))
-            for s in base:
-                res = segment_intersection(moved, s)
-                if not isinstance(res, Empty):
-                    out.append((res, s))
+        probe = Segment(vsub(seg.p, w), vsub(seg.q, w))
+        xs = _x_shift_range([probe.p, probe.q], self.strip_base)
+        shifts = [(i, 0) for i in xs]
+        for v, _, k in bbox_candidate_pairs([probe], base, shifts):
+            res = segment_intersection(shift_segment(probe, (-v[0], 0)), base[k])
+            if not isinstance(res, Empty):
+                out.append((res, base[k]))
         return out
 
     def _strip_level(self, q: RatPoint) -> int:
@@ -202,7 +193,7 @@ class CutSurface:
     def chart(self, p: RatPoint) -> RatPoint:
         """Strip coordinates of a torus point off the cut curve."""
         q = _apply_mat(self.nmat, p)
-        if _on_path(q, self.strip_base, wrap_y=True):
+        if lift_on_path(q, self.strip_base) is not None:
             raise PointNotOnCurve("point lies on the cut curve")
         lvl = self._strip_level(q)
         q = (q[0], q[1] - lvl)
@@ -244,60 +235,14 @@ class CutSurface:
         return TorusCurve([_apply_mat(inv, p) for p in arc])
 
 
-def _on_path(q: RatPoint, path: Sequence[RatPoint], wrap_y=False) -> bool:
-    for s in _arc_segments(path):
-        xs = sorted((s.p[0], s.q[0]))
-        ys = sorted((s.p[1], s.q[1]))
-        for i in range(math.floor(xs[0] - q[0]), math.ceil(xs[1] - q[0]) + 1):
-            jr = (
-                range(math.floor(ys[0] - q[1]), math.ceil(ys[1] - q[1]) + 1)
-                if wrap_y
-                else [0]
-            )
-            for j in jr:
-                c = (q[0] + i, q[1] + j)
-                if (
-                    xs[0] <= c[0] <= xs[1]
-                    and ys[0] <= c[1] <= ys[1]
-                    and orient(s.p, s.q, c) == 0
-                ):
-                    return True
-    return False
-
-
 def cut_along(a: TorusCurve, x: RatPoint) -> CutSurface:
     check_vertex(a)
-    from .fine_graph import _point_on_curves
-
-    if not _point_on_curves(torus_rep(x), [a]):
-        raise PointNotOnCurve("x must lie on the cut curve")
     n = _normalizer(a.homology)
-    na = _map_curve(n, a)
-    base = na.period_path()
-    xn = _apply_mat(n, torus_rep(x))
-    # place a lift of x exactly on the stored strip base
-    xlift = None
-    for s in _arc_segments(base):
-        xs = sorted((s.p[0], s.q[0]))
-        ys = sorted((s.p[1], s.q[1]))
-        for i in range(math.floor(xs[0] - xn[0]), math.ceil(xs[1] - xn[0]) + 1):
-            for j in range(
-                math.floor(ys[0] - xn[1]), math.ceil(ys[1] - xn[1]) + 1
-            ):
-                c = (xn[0] + i, xn[1] + j)
-                if (
-                    xs[0] <= c[0] <= xs[1]
-                    and ys[0] <= c[1] <= ys[1]
-                    and orient(s.p, s.q, c) == 0
-                ):
-                    xlift = c
-                    break
-            if xlift:
-                break
-        if xlift:
-            break
-    if xlift is None:
-        raise PointNotOnCurve("x not found on the normalized lift")
+    base = _map_curve(n, a).period_path()
+    found = lift_on_path(_apply_mat(n, torus_rep(x)), base)
+    if found is None:
+        raise PointNotOnCurve("x must lie on the cut curve")
+    xlift = found[1]
     top = vadd(xlift, (Fraction(0), Fraction(1)))
     return CutSurface(
         base=a, x=torus_rep(x), nmat=n, strip_base=base, marked=(xlift, top)
@@ -312,8 +257,8 @@ def _arc_crossings(u: Sequence[RatPoint], v: Sequence[RatPoint]):
 
     Returned as (param along u, point in u's frame), sorted by param.
     Raises NonGenericInput on overlaps or non-transverse interior contact."""
-    su = _arc_segments(u)
-    sv = _arc_segments(v)
+    su = path_segments(u)
+    sv = path_segments(v)
     ends_u = {u[0], u[-1]}
     ends_v = {v[0], v[-1]}
     u_pts = [p for s in su for p in (s.p, s.q)]
@@ -352,7 +297,7 @@ def _arc_crossings(u: Sequence[RatPoint], v: Sequence[RatPoint]):
 def _sub_arc(arc: Sequence[RatPoint], t0: Fraction, t1: Fraction):
     """Piece of an arc between fractional segment params (t measured over
     the deduplicated segment list)."""
-    segs = _arc_segments(arc)
+    segs = path_segments(arc)
 
     def at(t):
         i = min(int(t), len(segs) - 1)
@@ -412,7 +357,7 @@ def _offset_open(
 
 
 def _arc_simple(arc: Sequence[RatPoint]) -> bool:
-    segs = _arc_segments(arc)
+    segs = path_segments(arc)
     if not segs:
         return False
     pts = [p for s in segs for p in (s.p, s.q)]
@@ -437,7 +382,7 @@ def _arc_simple(arc: Sequence[RatPoint]) -> bool:
 
 
 def _set_hits_arc(sset: SegmentSet, arc: Sequence[RatPoint], allow=()) -> bool:
-    for s in _arc_segments(arc):
+    for s in path_segments(arc):
         if sset.hits(s, allow=allow):
             return True
     return False
@@ -471,14 +416,14 @@ def _simplify_arc(arc, avoid: Sequence[SegmentSet], allow=()):
 def _removal_ok(cand, new: Segment) -> bool:
     """After a vertex removal only the replacement segment is new; it alone
     is checked against the rest of the arc and its horizontal translates."""
-    segs = _arc_segments(cand)
+    segs = path_segments(cand)
     ni = next(
         (k for k, s in enumerate(segs) if s.p == new.p and s.q == new.q), None
     )
     pts = [p for s in segs for p in (s.p, s.q)]
     shifts = [(0, 0)] + [
         (k, j)
-        for (k, j) in translate_range([new.p, new.q], pts, pad=0)
+        for (k, j) in translate_range(pts, [new.p, new.q], pad=0)
         if j == 0 and k != 0
     ]
     for v, k, _ in bbox_candidate_pairs(segs, [new], shifts):
@@ -524,7 +469,7 @@ def unicorn_path(
     if t_on_g2 is None:
         raise NonGenericInput("crossing not found on the second arc")
     A = _sub_arc(g1, Fraction(0), t_w)
-    segs2 = _arc_segments(g2)
+    segs2 = path_segments(g2)
     B = _sub_arc(g2, t_on_g2, Fraction(len(segs2)))
     # realign B's lift to end of A
     B = _chain_lift(A[-1], B)
@@ -635,13 +580,12 @@ class ChainCertificate:
 
 
 def _curves_coincide(b: TorusCurve, c: TorusCurve) -> bool:
-    from .fine_graph import _point_on_curves
-
     def covered(u, v):
+        path = v.period_path()
         for s in u.segments():
             mid = smul(Fraction(1, 2), vadd(s.p, s.q))
             for p in (s.p, s.q, mid):
-                if not _point_on_curves(torus_rep(p), [v]):
+                if lift_on_path(torus_rep(p), path) is None:
                     return False
         return True
 
@@ -650,28 +594,10 @@ def _curves_coincide(b: TorusCurve, c: TorusCurve) -> bool:
 
 def _germ_dirs(curve: TorusCurve, x: RatPoint):
     tr = _CurveTrace(curve, 0)
-    t = None
-    for si, s in enumerate(tr.segs):
-        xs = sorted((s.p[0], s.q[0]))
-        ys = sorted((s.p[1], s.q[1]))
-        for i in range(math.floor(xs[0] - x[0]), math.ceil(xs[1] - x[0]) + 1):
-            for j in range(
-                math.floor(ys[0] - x[1]), math.ceil(ys[1] - x[1]) + 1
-            ):
-                c = (x[0] + i, x[1] + j)
-                if (
-                    xs[0] <= c[0] <= xs[1]
-                    and ys[0] <= c[1] <= ys[1]
-                    and orient(s.p, s.q, c) == 0
-                ):
-                    t = tr.param_of(si, c) % tr.n
-                    break
-            if t is not None:
-                break
-        if t is not None:
-            break
-    if t is None:
+    found = lift_on_path(x, tr.path)
+    if found is None:
         raise PointNotOnCurve("germ point not on curve")
+    t = tr.param_of(*found) % tr.n
     return tr.direction_at(t, True), tr.direction_at(t, False)
 
 
@@ -853,7 +779,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
             return None
         germ = [p1, x, p2]
         obs = SegmentSet(
-            obstacles.segs + _arc_segments(germ), wrap_x=True, wrap_y=True
+            obstacles.segs + path_segments(germ), wrap_x=True, wrap_y=True
         )
         r = torus_route(obs, p2, p1, n=n, max_n=max_n)
         if r is None:

@@ -19,8 +19,11 @@ from .geom_core import (
     Overlap,
     RatPoint,
     Segment,
+    bbox_candidate_pairs,
     cross,
+    path_segments,
     segment_intersection,
+    shift_segment,
     smul,
     vadd,
     vsub,
@@ -32,13 +35,14 @@ from .curves_ops import (
     intersect_curves,
     push_aside,
 )
-from .routing import SegmentSet, curves_segment_set, torus_route
+from .routing import SegmentSet, torus_route
 from .surfaces import (
     Arrangement,
     Face,
     TorusCurve,
     _CurveTrace,
     complement_components,
+    lift_on_path,
     torus_curve_simple,
     torus_pair_hits,
     torus_rep,
@@ -144,7 +148,11 @@ def is_edge(a: TorusCurve, b: TorusCurve):
 
 
 def classify_clique3(a: TorusCurve, b: TorusCurve, c: TorusCurve) -> Clique3Report:
-    tags = [is_edge(a, b), is_edge(a, c), is_edge(b, c)]
+    return clique3_of_tags(is_edge(a, b), is_edge(a, c), is_edge(b, c))
+
+
+def clique3_of_tags(*tags) -> Clique3Report:
+    """The 3-clique report of a triple from its pair tags (ab, ac, bc)."""
     if any(isinstance(t, NonEdge) for t in tags):
         raise NotAClique("pairwise edge condition fails")
     points = [t.point for t in tags if isinstance(t, TransverseEdge)]
@@ -185,10 +193,10 @@ def _param_of_point(curve: TorusCurve, other: TorusCurve, point: RatPoint):
 
 
 def necklace_arcs(a: TorusCurve, b: TorusCurve, c: TorusCurve) -> NecklaceArcs:
-    rep = classify_clique3(a, b, c)
+    tags = [is_edge(a, b), is_edge(a, c), is_edge(b, c)]
+    rep = clique3_of_tags(*tags)
     if rep.type != NECKLACE:
         raise NotANecklace(rep.type)
-    tags = [is_edge(a, b), is_edge(a, c), is_edge(b, c)]
     p_ab, p_ac, p_bc = (torus_rep(t.point) for t in tags)
     pts = tuple(sorted([p_ab, p_ac, p_bc]))
 
@@ -283,161 +291,75 @@ class NotFar(ValueError):
     pass
 
 
-def _point_on_curves(p: RatPoint, curves: Sequence[TorusCurve]) -> bool:
-    from .geom_core import orient
-
-    for c in curves:
-        for s in c.segments():
-            xs = sorted((s.p[0], s.q[0]))
-            ys = sorted((s.p[1], s.q[1]))
-            import math
-
-            for i in range(math.floor(xs[0] - p[0]), math.ceil(xs[1] - p[0]) + 1):
-                for j in range(
-                    math.floor(ys[0] - p[1]), math.ceil(ys[1] - p[1]) + 1
-                ):
-                    q = (p[0] + i, p[1] + j)
-                    if (
-                        xs[0] <= q[0] <= xs[1]
-                        and ys[0] <= q[1] <= ys[1]
-                        and orient(s.p, s.q, q) == 0
-                    ):
-                        return True
-    return False
-
-
 class _FaceLocator:
-    """Maps points to complementary faces by flooding a rational grid from
-    each face witness; grid edges are checked exactly against the curves.
+    """Maps points to the merged faces of an arrangement by exact ray shots.
 
-    ``faces`` are ``complement_components(curves)`` in that order, and
-    ``arr`` the arrangement they came from, if the caller holds it; the
-    exact fallback rebuilds it from the curves otherwise."""
+    A ray of length 3/2 leaves the point; the first input-curve segment it
+    crosses lies on an edge, and the point is in the face of the dart of
+    that edge whose right side the ray leaves (face walks keep their face on
+    the right).  Scaffold edges are not obstacles, since faces are merged
+    across them.  A ray that starts on a curve, runs along a segment, or
+    first meets a segment end is retried in the next of five directions;
+    when every direction fails, ``locate`` raises WitnessSearchFailed."""
 
-    def __init__(
-        self,
-        curves: Sequence[TorusCurve],
-        faces: Sequence[Face],
-        arr: Optional[Arrangement] = None,
-        n=32,
-    ):
-        self.curves = list(curves)
-        self.faces = list(faces)
-        self.obstacles = curves_segment_set(self.curves)
-        self._arr = arr
-        self.n = n
-        self._flood()
+    _RAYS = tuple(
+        (Fraction(3, 2) * x, Fraction(3, 2) * y)
+        for x, y in (
+            (Fraction(0), Fraction(1)),
+            (Fraction(1, 997), Fraction(1)),
+            (Fraction(-1, 991), Fraction(1)),
+            (Fraction(1), Fraction(1, 983)),
+            (Fraction(1), Fraction(-1, 977)),
+        )
+    )
 
-    def _flood(self):
-        from collections import deque
-
-        from .routing import _attach, _node_base
-
-        n = self.n
-        obstacles = self.obstacles
-        label: dict[tuple[int, int], int] = {}
-        cache: dict[tuple, bool] = {}
-
-        def edge_free(i, j, di, dj):
-            key = (i, j, di, dj)
-            if key not in cache:
-                p = _node_base(i, j, n)
-                q = (p[0] + Fraction(di, n), p[1] + Fraction(dj, n))
-                cache[key] = not obstacles.hits(Segment(p, q))
-            return cache[key]
-
-        for fi, face in enumerate(self.faces):
-            dq = deque()
-            for key, _, _ in _attach(obstacles, face.witness, n):
-                if key not in label:
-                    label[key] = fi
-                    dq.append(key)
-            while dq:
-                ci, cj = dq.popleft()
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    nxt = ((ci + di) % n, (cj + dj) % n)
-                    if nxt in label:
-                        continue
-                    if edge_free(ci, cj, di, dj):
-                        label[nxt] = fi
-                        dq.append(nxt)
-        self._label = label
-
-    def locate(self, p: RatPoint) -> int:
-        from .routing import _attach
-
-        while True:
-            for key, _, _ in _attach(self.obstacles, p, self.n):
-                if key in self._label:
-                    return self._label[key]
-            if self.n >= 256:
-                return self._exact_locate(p)
-            self.n *= 2
-            self._flood()
-
-    def _build_exact(self):
-        if self._arr is None:
-            _faces, self._arr = complement_components(
-                self.curves, _with_arrangement=True
-            )
-        segs = []
-        for e, ed in enumerate(self._arr.edges):
+    def __init__(self, arr: Arrangement):
+        self.arr = arr
+        self.segs: list[Segment] = []
+        self.seg_edge: list[tuple[int, RatPoint]] = []
+        for e, ed in enumerate(arr.edges):
+            if ed["label"] >= arr.n_input:
+                continue
             g = ed["geom"]
             for i in range(len(g) - 1):
-                segs.append((Segment(g[i], g[i + 1]), e, vsub(g[i + 1], g[i])))
-        self._arr_segs = segs
-        self._arr_pts = [q for s, _, _ in segs for q in (s.p, s.q)]
+                self.segs.append(Segment(g[i], g[i + 1]))
+                self.seg_edge.append((e, vsub(g[i + 1], g[i])))
+        xs = [q[0] for s in self.segs for q in (s.p, s.q)]
+        ys = [q[1] for s in self.segs for q in (s.p, s.q)]
+        self.box = [(min(xs), min(ys)), (max(xs), max(ys))]
 
-    def _exact_locate(self, p: RatPoint) -> int:
-        """Point location by an exact ray shot against the arrangement.
-
-        Reaches points inside faces thinner than any grid step: the first
-        edge hit by the ray names the face through the dart whose right
-        side contains the ray origin."""
-        if not hasattr(self, "_arr_segs"):
-            self._build_exact()
-        one = Fraction(1)
-        for v in (
-            (Fraction(0), one),
-            (Fraction(1, 997), one),
-            (Fraction(-1, 991), one),
-            (one, Fraction(1, 983)),
-            (one, Fraction(-1, 977)),
-        ):
-            far = vadd(p, smul(Fraction(3, 2), v))
-            hits = []
-            degen = False
-            for tv in translate_range(self._arr_pts, [p, far]):
-                vv = (Fraction(tv[0]), Fraction(tv[1]))
-                sp = Segment(vadd(p, vv), vadd(far, vv))
-                for s, e, w in self._arr_segs:
-                    res = segment_intersection(sp, s)
-                    if isinstance(res, Empty):
-                        continue
-                    if isinstance(res, Overlap):
-                        degen = True
-                        break
-                    q = res.point
-                    if v[0] != 0:
-                        t = (q[0] - sp.p[0]) / (Fraction(3, 2) * v[0])
-                    else:
-                        t = (q[1] - sp.p[1]) / (Fraction(3, 2) * v[1])
-                    if t == 0:
-                        degen = True
-                        break
-                    hits.append((t, e, w, q == s.p or q == s.q))
-                if degen:
-                    break
-            if degen or not hits:
-                continue
-            tmin = min(t for t, _, _, _ in hits)
-            first = [h for h in hits if h[0] == tmin]
-            _, e, w, at_end = first[0]
-            if len(first) > 1 or at_end or cross(w, v) == 0:
-                continue
-            d = 2 * e if cross(w, v) > 0 else 2 * e + 1
-            return self._arr.walk_face[self._arr.face_of_dart[d]]
+    def locate(self, p: RatPoint) -> int:
+        for u in self._RAYS:
+            d = self._first_dart(p, u)
+            if d is not None:
+                return self.arr.walk_face[self.arr.face_of_dart[d]]
         raise WitnessSearchFailed("face location failed")
+
+    def _first_dart(self, p: RatPoint, u: RatPoint) -> Optional[int]:
+        """The dart first crossed by the ray from p along u, or None when
+        that first contact is degenerate."""
+        ray = Segment(p, vadd(p, u))
+        axis = 0 if u[0] != 0 else 1
+        shifts = translate_range([ray.p, ray.q], self.box)
+        best = None
+        for v, _, k in bbox_candidate_pairs([ray], self.segs, shifts):
+            res = segment_intersection(ray, shift_segment(self.segs[k], v))
+            if isinstance(res, Empty):
+                continue
+            if isinstance(res, Overlap) or res.point == p:
+                return None
+            t = (res.point[axis] - p[axis]) / u[axis]
+            if best is None or t < best[0]:
+                best = (t, k, res.interior2)
+        # arrangement segments meet only at their ends, so a nearest point
+        # shared by several segments is an end of each of them
+        if best is None or not best[2]:
+            return None
+        e, w = self.seg_edge[best[1]]
+        side = cross(w, u)
+        if side == 0:
+            return None
+        return 2 * e if side > 0 else 2 * e + 1
 
 
 def _d_params_on(d: TorusCurve, curves: Sequence[TorusCurve]):
@@ -509,10 +431,12 @@ def faces_met(
     faces: Sequence[Face],
     locator: Optional[_FaceLocator] = None,
 ):
-    """Indices of complementary faces of the curves that d passes through,
-    with one witness param of d per face."""
+    """Indices into ``faces`` (``complement_components(curves)``) of the
+    complementary faces that d passes through, with one witness param of d
+    per face.  Without a locator, one is built on the curves' arrangement."""
     if locator is None:
-        locator = _FaceLocator(curves, faces)
+        _, arr = complement_components(curves, _with_arrangement=True)
+        locator = _FaceLocator(arr)
     _, samples = _piece_samples(d, curves)
     met: dict[int, list[Fraction]] = {}
     for param, p in samples:
@@ -537,9 +461,7 @@ def _segset(seg_lists) -> SegmentSet:
         if isinstance(part, TorusCurve):
             segs.extend(part.segments())
         else:
-            for i in range(len(part) - 1):
-                if part[i] != part[i + 1]:
-                    segs.append(Segment(part[i], part[i + 1]))
+            segs.extend(path_segments(part))
     return SegmentSet(segs, wrap_x=True, wrap_y=True)
 
 
@@ -570,7 +492,7 @@ def far_witness(a: TorusCurve, b: TorusCurve, c: TorusCurve):
         raise NotAClique("need a transverse edge {a, b}")
     check_vertex(c)
     x = torus_rep(tag.point)
-    if _point_on_curves(x, [c]):
+    if lift_on_path(x, c.period_path()) is not None:
         raise NotFar("the edge point lies on c")
 
     ta = _CurveTrace(a, 0)
@@ -826,7 +748,6 @@ def _alpha_crossings(d: TorusCurve, alpha: TorusCurve) -> int:
 def _add_finger(
     d: TorusCurve,
     curves: Sequence[TorusCurve],
-    faces: Sequence[Face],
     locator: _FaceLocator,
     alpha: TorusCurve,
     others: Sequence[TorusCurve] = (),
@@ -865,14 +786,6 @@ def _add_finger(
     return None
 
 
-def _path_segs(part):
-    return [
-        Segment(part[i], part[i + 1])
-        for i in range(len(part) - 1)
-        if part[i] != part[i + 1]
-    ]
-
-
 def _try_finger(d, tr, met, curves, locator, alpha, others, si, fc, w, gate_t,
                 blockers, aset, route_segs):
     f1 = fc - w
@@ -907,12 +820,12 @@ def _try_finger(d, tr, met, curves, locator, alpha, others, si, fc, w, gate_t,
         u = tr.point_at(lo)
         v = tr.point_at(hi)
         keep = tr.sub_path(hi % tr.n, lo % tr.n)
-        fixed = route_segs + _path_segs(keep) + _path_segs(gate_path)
+        fixed = route_segs + path_segments(keep) + path_segments(gate_path)
         base = SegmentSet(fixed, wrap_x=True, wrap_y=True)
         r1 = torus_route(base, u, e1, n=16, max_n=64)
         if r1 is None:
             continue
-        base2 = SegmentSet(fixed + _path_segs(r1), wrap_x=True, wrap_y=True)
+        base2 = SegmentSet(fixed + path_segments(r1), wrap_x=True, wrap_y=True)
         r2 = torus_route(base2, e2, v, n=16, max_n=64)
         if r2 is None:
             continue
@@ -939,7 +852,7 @@ def refute_N(
     for al in alphas:
         check_vertex(al)
     faces, arr = complement_components(curves, _with_arrangement=True)
-    locator = _FaceLocator(curves, faces, arr)
+    locator = _FaceLocator(arr)
     all_faces = set(range(len(faces)))
 
     def routed_candidates():
@@ -978,10 +891,10 @@ def refute_N(
             # detour only dodges them when the permissive route degenerates;
             # a fully failed permissive pass never succeeds with even more
             # obstacles, so it is not retried
-            d2 = _add_finger(d, curves, faces, locator, al)
+            d2 = _add_finger(d, curves, locator, al)
             if d2 is not None and any(_alpha_crossings(d2, x) < 0 for x in alphas):
                 done = [x for x in alphas if x is not al]
-                d2 = _add_finger(d, curves, faces, locator, al, done)
+                d2 = _add_finger(d, curves, locator, al, done)
             if d2 is None:
                 return None
             d = d2

@@ -142,6 +142,16 @@ def shift_segment(s: Segment, v: tuple[int, int]) -> Segment:
     return Segment(vadd(s.p, w), vadd(s.q, w))
 
 
+def path_segments(path: Sequence[RatPoint]) -> list[Segment]:
+    """Segments between consecutive points of a PL path; repeated points
+    are skipped."""
+    return [
+        Segment(path[i], path[i + 1])
+        for i in range(len(path) - 1)
+        if path[i] != path[i + 1]
+    ]
+
+
 def polyline_edges(path: Sequence[RatPoint], closed: bool) -> list[Segment]:
     edges = [Segment(path[i], path[i + 1]) for i in range(len(path) - 1)]
     if closed and path[0] != path[-1]:

@@ -27,13 +27,13 @@ from .geom_core import (
     Segment,
     bbox_candidate_pairs,
     cross,
+    path_segments,
     segment_intersection,
     shift_segment,
-    smul,
     vadd,
-    vsub,
 )
-from .arc_graphs import _map_curve, _normalizer
+from .arc_graphs import _apply_mat, _map_curve, _normalizer
+from .curves_ops import _point_seg_dist2
 from .routing import SegmentSet
 from .surfaces import (
     INFINITE,
@@ -93,21 +93,13 @@ def relative_width(a, b, model: Optional[SurfaceModel] = None) -> WidthResult:
     raise ModelMismatch("mixed or unsupported operand types")
 
 
-def _segments(path: Sequence[RatPoint]) -> list[Segment]:
-    return [
-        Segment(path[i], path[i + 1])
-        for i in range(len(path) - 1)
-        if path[i] != path[i + 1]
-    ]
-
-
 def _shift_hits(u: Sequence[RatPoint], v: Sequence[RatPoint]) -> set:
     """{k : u + (k,0) meets v} for two lifted strip arcs."""
     xs_u = [p[0] for p in u]
     xs_v = [p[0] for p in v]
     lo = math.ceil(min(xs_v) - max(xs_u))
     hi = math.floor(max(xs_v) - min(xs_u))
-    su, sv = _segments(u), _segments(v)
+    su, sv = path_segments(u), path_segments(v)
     out = set()
     shifts = [(k, 0) for k in range(lo, hi + 1)]
     for w, j, i in bbox_candidate_pairs(sv, su, shifts):
@@ -179,7 +171,7 @@ def _h_ray_parity(p: RatPoint, wall: Sequence[RatPoint], k: int) -> Optional[int
     """Parity of crossings of the leftward horizontal ray from p with the
     wall shifted by (k, 0); None on a degenerate hit."""
     count = 0
-    for s in _segments(wall):
+    for s in path_segments(wall):
         py = p[1]
         y0, y1 = s.p[1] + 0, s.q[1] + 0
         if py == y0 or py == y1:
@@ -214,7 +206,7 @@ def _thread_strip(
     and its (1,0) translate, avoiding the obstacle polylines."""
     right = [vadd(p, (Fraction(1), Fraction(0))) for p in wall]
     blockers = SegmentSet(
-        [s for path in (wall, right, *obstacles) for s in _segments(path)]
+        [s for path in (wall, right, *obstacles) for s in path_segments(path)]
     )
     while n <= max_n:
         # salts shift the grid off any wall vertices left by earlier
@@ -230,7 +222,7 @@ def _thread_strip(
 
 
 def _path_simple(path: list[RatPoint]) -> bool:
-    segs = _segments(path)
+    segs = path_segments(path)
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             res = segment_intersection(segs[i], segs[j])
@@ -465,7 +457,7 @@ def distance_path(a: AnnulusArc, b: AnnulusArc) -> list[AnnulusArc]:
 def _obstacles_collide(lift, lo_k: int, hi_k: int, wall) -> bool:
     """Do the translates of lift by (-lo_k, 0) and (-hi_k, 0) meet inside
     the strip along wall?"""
-    segs = _segments(lift)
+    segs = path_segments(lift)
     back = (Fraction(-lo_k), Fraction(0))
     for v, i, j in bbox_candidate_pairs(segs, segs, [(lo_k - hi_k, 0)]):
         res = segment_intersection(segs[i], shift_segment(segs[j], v))
@@ -503,7 +495,7 @@ class GermSpec:
         if len(generator) < 2:
             raise ValueError("generator needs at least two points")
         m = _contraction(lam, rot)
-        if _apply(m, generator[0]) != generator[-1]:
+        if _apply_mat(m, generator[0]) != generator[-1]:
             raise ValueError("generator does not chain: M start != end")
         if any(p == (0, 0) for p in generator):
             raise ValueError("generator must avoid the origin")
@@ -517,7 +509,7 @@ class GermSpec:
 
     def copy_path(self, i: int) -> list[RatPoint]:
         m = _mat_pow(self.matrix(), i)
-        return [_apply(m, p) for p in self.generator]
+        return [_apply_mat(m, p) for p in self.generator]
 
     def to_json(self):
         def pts(path):
@@ -549,10 +541,6 @@ class GermWidth:
 def _contraction(lam, rot):
     c, s = rot
     return ((lam * c, -lam * s), (lam * s, lam * c))
-
-
-def _apply(m, p):
-    return (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
 
 
 def _mat_pow(m, k: int):
@@ -638,24 +626,15 @@ def _per_period_turns(g: GermSpec) -> Fraction:
 def _copy_radii(path) -> tuple:
     lo = None
     hi = max(p[0] ** 2 + p[1] ** 2 for p in path)
-    for s in _segments(path):
+    for s in path_segments(path):
         d = _point_seg_dist2((Fraction(0), Fraction(0)), s)
         lo = d if lo is None else min(lo, d)
     return lo, hi
 
 
-def _point_seg_dist2(p, s: Segment):
-    d = vsub(s.q, s.p)
-    den = d[0] ** 2 + d[1] ** 2
-    t = ((p[0] - s.p[0]) * d[0] + (p[1] - s.p[1]) * d[1]) / den
-    t = min(max(t, Fraction(0)), Fraction(1))
-    c = vadd(s.p, smul(t, d))
-    return (c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2
-
-
 def _copy_pair_hits(p1, p2):
     """Transverse interior intersections of two copy polylines; exact."""
-    s1, s2 = _segments(p1), _segments(p2)
+    s1, s2 = path_segments(p1), path_segments(p2)
     out = []
     for _, i, j in bbox_candidate_pairs(s1, s2):
         res = segment_intersection(s1[i], s2[j])

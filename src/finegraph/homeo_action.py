@@ -30,7 +30,7 @@ from .fine_graph import (
     NotAClique,
     TransverseEdge,
     check_vertex,
-    classify_clique3,
+    clique3_of_tags,
     is_edge,
 )
 from .surfaces import TorusCurve, torus_rep
@@ -254,11 +254,11 @@ def check_automorphism(f: TorusMap, universe: Sequence[TorusCurve]) -> list:
     images = [apply(f, c) for c in universe]
     violations = []
     n = len(universe)
-    tags = {}
+    tags, image_tags = {}, {}
     for i, j in combinations(range(n), 2):
         t1 = is_edge(universe[i], universe[j])
         t2 = is_edge(images[i], images[j])
-        tags[(i, j)] = t1
+        tags[(i, j)], image_tags[(i, j)] = t1, t2
         if type(t1) is not type(t2):
             violations.append(
                 {"pair": [i, j], "kind": "edge_tag",
@@ -275,12 +275,13 @@ def check_automorphism(f: TorusMap, universe: Sequence[TorusCurve]) -> list:
                              str(torus_rep(t2.point)[1])]}
                 )
     for i, j, k in combinations(range(n), 3):
-        pair_tags = [tags[(i, j)], tags[(i, k)], tags[(j, k)]]
+        pairs = [(i, j), (i, k), (j, k)]
+        pair_tags = [tags[q] for q in pairs]
         if any(not isinstance(t, (DisjointEdge, TransverseEdge)) for t in pair_tags):
             continue
-        before = classify_clique3(universe[i], universe[j], universe[k]).type
+        before = clique3_of_tags(*pair_tags).type
         try:
-            after = classify_clique3(images[i], images[j], images[k]).type
+            after = clique3_of_tags(*(image_tags[q] for q in pairs)).type
         except NotAClique:
             after = "not_a_clique"
         if before != after:

@@ -1,9 +1,14 @@
-"""Grid-based exact routing in the complement of PL obstacles.
+"""Obstacle sets and grid routing in the complement of PL obstacles.
 
-Paths are found by BFS on a rational grid whose edges are tested exactly
-against the obstacle segments (float boxes only prefilter).  Used to thread
-witness curves through arrangement faces and strips; every result is an
-exact PL path whose segments provably avoid the obstacles.
+``SegmentSet`` answers exact contact queries against obstacle segments
+repeated under the torus or annulus translations; float boxes and float
+orientation filters settle clear-cut cases, and everything closer is decided
+exactly.  ``torus_route`` finds paths on the torus by BFS on a rational
+grid: a grid edge is accepted only when the float ``surely_free`` test
+proves it clear by more than the rounding margin, and only the two segments
+attaching the endpoints to the grid and the shortcuts are tested exactly.
+Every result is an exact PL path whose segments provably avoid the
+obstacles.  Paths through annulus strips use ``germs_width``'s strip router.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .geom_core import (
     Empty,
@@ -22,9 +27,6 @@ from .geom_core import (
     shift_segment,
     vadd,
 )
-
-if TYPE_CHECKING:
-    from .surfaces import TorusCurve
 
 
 def _surely_disjoint(px, py, qx, qy, ax, ay, bx, by) -> bool:
@@ -190,11 +192,6 @@ class SegmentSet:
                     continue
                 return True
         return False
-
-
-def curves_segment_set(curves: Sequence[TorusCurve]) -> SegmentSet:
-    segs = [s for c in curves for s in c.segments()]
-    return SegmentSet(segs, wrap_x=True, wrap_y=True)
 
 
 def shortcut(

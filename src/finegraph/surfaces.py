@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geom_core import (
     Empty,
@@ -21,6 +21,8 @@ from .geom_core import (
     Segment,
     bbox_candidate_pairs,
     cross,
+    orient,
+    path_segments,
     polyline_self_intersects,
     segment_intersection,
     shift_segment,
@@ -138,6 +140,24 @@ def translate_range(
     return [
         (i, j) for i in range(vx0, vx1 + 1) for j in range(vy0, vy1 + 1)
     ]
+
+
+def lift_on_path(
+    p: RatPoint, path: Sequence[RatPoint]
+) -> Optional[tuple[int, RatPoint]]:
+    """The first (k, q) with q = p + (i, j) for integers i, j lying on
+    segment k of ``path_segments(path)``, searched by k, then i, then j; None
+    when no integer translate of p lies on the path."""
+    for k, s in enumerate(path_segments(path)):
+        x0, x1 = sorted((s.p[0], s.q[0]))
+        y0, y1 = sorted((s.p[1], s.q[1]))
+        for i in range(math.floor(x0 - p[0]), math.ceil(x1 - p[0]) + 1):
+            for j in range(math.floor(y0 - p[1]), math.ceil(y1 - p[1]) + 1):
+                q = (p[0] + i, p[1] + j)
+                inside = x0 <= q[0] <= x1 and y0 <= q[1] <= y1
+                if inside and orient(s.p, s.q, q) == 0:
+                    return k, q
+    return None
 
 
 def torus_pair_hits(a: TorusCurve, b: TorusCurve):

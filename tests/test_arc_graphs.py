@@ -10,6 +10,7 @@ from finegraph.arc_graphs import (
     PointsDiffer,
     _arc_crossings,
     _arc_simple,
+    _removal_ok,
     bouquet_chain,
     cut_along,
     unicorn_path,
@@ -17,7 +18,7 @@ from finegraph.arc_graphs import (
 )
 from finegraph.fine_graph import NotAClique, classify_clique3
 from finegraph.generators import rand_chain_triple
-from finegraph.geom_core import pt
+from finegraph.geom_core import Segment, pt
 from finegraph.surfaces import TorusCurve, torus_rep
 
 F = Fraction
@@ -136,6 +137,14 @@ def test_unicorn_ten_crossings_strictly_decreasing():
     counts = [len(_arc_crossings(path[0], arc)) for arc in path[1:]]
     assert counts == sorted(counts) and len(set(counts)) == len(counts)
     assert counts[-1] == 10
+
+
+def test_removal_ok_checks_translates_of_the_new_segment():
+    # the shortcut moved by (-2, 0) crosses the arc, so the arc is not
+    # simple and the removal must be refused
+    arc = [(F(31, 8), F(7, 8)), (F(4), F(5, 8)), (F(1, 2), F(1))]
+    assert not _arc_simple(arc)
+    assert not _removal_ok(arc, Segment(arc[0], arc[1]))
 
 
 # ------------------------------------------------------------ bouquet chains

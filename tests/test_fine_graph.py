@@ -16,6 +16,8 @@ from finegraph.fine_graph import (
     NotFar,
     NonEdge,
     TransverseEdge,
+    WitnessSearchFailed,
+    _FaceLocator,
     check_vertex,
     classify_clique3,
     faces_met,
@@ -26,8 +28,13 @@ from finegraph.fine_graph import (
 )
 from finegraph.generators import REALIZABLE_TYPES, rand_clique3, rand_vertex
 from finegraph.geom_core import pt, Segment
-from finegraph.routing import curves_segment_set, torus_route
-from finegraph.surfaces import TorusCurve, complement_components
+from finegraph.routing import SegmentSet, torus_route
+from finegraph.surfaces import (
+    TorusCurve,
+    _scaffold_curves,
+    complement_components,
+    torus_rep,
+)
 
 F = Fraction
 
@@ -208,11 +215,79 @@ def test_refute_with_alphas():
         assert not isinstance(is_edge(d, u), NonEdge)
 
 
+# ------------------------------------------------------------ face location
+
+
+def locator_of(curves):
+    faces, arr = complement_components(curves, _with_arrangement=True)
+    return faces, _FaceLocator(arr)
+
+
+def face_with_witness(faces, inside):
+    """Index of the one face whose witness satisfies ``inside``."""
+    (fi,) = [i for i, f in enumerate(faces) if inside(f.witness)]
+    return fi
+
+
+def horizontal_trio():
+    return [geodesic(1, 0, 0, F(k, 6)) for k in (1, 3, 5)]
+
+
+@pytest.mark.parametrize(
+    "trio",
+    [necklace_trio(), bouquet_trio(), horizontal_trio(),
+     (geodesic(1, 0, 0, F(1, 4)), geodesic(0, 1, F(1, 2), 0),
+      geodesic(1, 0, 0, F(3, 4)))],
+    ids=["necklace", "bouquet", "all_disjoint", "two_pair"],
+)
+def test_locate_witnesses_and_their_translates(trio):
+    faces, loc = locator_of(list(trio))
+    for fi, face in enumerate(faces):
+        assert loc.locate(face.witness) == fi
+        for v in ((1, 0), (0, -1), (-2, 3)):
+            moved = (face.witness[0] + v[0], face.witness[1] + v[1])
+            assert loc.locate(moved) == fi
+
+
+def test_locate_points_on_scaffold_lines():
+    curves = horizontal_trio()
+    faces, loc = locator_of(curves)
+    vert, horiz = _scaffold_curves(curves)
+    alpha, beta = vert.lift[0][0], horiz.lift[0][1]
+    # the face between y = 1/6 and y = 1/2 holds both scaffold lines
+    want = face_with_witness(faces, lambda w: F(1, 6) < w[1] < F(1, 2))
+    assert F(1, 6) < beta < F(1, 2)
+    for p in ((alpha, F(1, 3)), (F(1, 3), beta), (alpha, beta)):
+        assert loc.locate(p) == want
+
+
+def test_locate_inside_a_thin_face():
+    gap = F(1, 1000)
+    curves = [geodesic(1, 1, 0, F(1, 2)), geodesic(1, 1, 0, F(1, 2) + gap)]
+    faces, loc = locator_of(curves)
+
+    def in_gap(w):
+        return F(1, 2) < (w[1] - w[0]) % 1 < F(1, 2) + gap
+
+    want = face_with_witness(faces, in_gap)
+    p = (F(1, 3), F(1, 3) + F(1, 2) + gap / 2)
+    assert loc.locate(p) == want
+    assert loc.locate(torus_rep((p[0] + 5, p[1] - 7))) == want
+
+
+def test_locate_rejects_a_point_on_a_curve():
+    _, loc = locator_of(horizontal_trio())
+    with pytest.raises(WitnessSearchFailed):
+        loc.locate((F(1, 3), F(1, 2)))
+
+
 # ----------------------------------------------------------------- routing
 
 
 def test_route_avoids_obstacles():
-    obstacles = curves_segment_set([geodesic(1, 0, 0, F(1, 2))])
+    obstacles = SegmentSet(
+        geodesic(1, 0, 0, F(1, 2)).segments(), wrap_x=True, wrap_y=True
+    )
     r = torus_route(obstacles, pt(F(1, 8), F(1, 8)), pt(F(7, 8), F(1, 4)))
     assert r is not None
     for i in range(len(r) - 1):
@@ -221,8 +296,11 @@ def test_route_avoids_obstacles():
 
 def test_route_blocked_between_parallel_walls():
     # two homotopic walls trap the start in an annulus the end is outside of
-    walls = curves_segment_set(
-        [geodesic(0, 1, F(1, 4), 0), geodesic(0, 1, F(3, 4), 0)]
+    walls = SegmentSet(
+        [s for c in (geodesic(0, 1, F(1, 4), 0), geodesic(0, 1, F(3, 4), 0))
+         for s in c.segments()],
+        wrap_x=True,
+        wrap_y=True,
     )
     r = torus_route(
         walls, pt(F(1, 2), F(1, 2)), pt(F(7, 8), F(1, 2)), n=16, max_n=32

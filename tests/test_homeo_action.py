@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from finegraph import homeo_action
 from finegraph.generators import rand_vertex
 from finegraph.geom_core import pt
 from finegraph.homeo_action import (
@@ -120,6 +121,24 @@ def test_translation_is_automorphism():
 def test_pl_shear_is_automorphism():
     viol = check_automorphism(shear_pl(), universe20(11)[:10])
     assert viol == []
+
+
+@pytest.mark.parametrize(
+    "image, after",
+    [(geodesic(1, 1, 0, F(1, 4)), "necklace"), (geodesic(2, 1), "not_a_clique")],
+)
+def test_clique_type_violation_reports_image_type(monkeypatch, image, after):
+    # a bouquet whose third curve is sent to a curve that no homeomorphism
+    # fixing the other two could give
+    bouquet = [geodesic(1, 0, 0, F(1, 2)), geodesic(0, 1, F(1, 2), 0), geodesic(1, 1)]
+    images = {c.lift: c for c in bouquet}
+    images[bouquet[2].lift] = image
+    monkeypatch.setattr(homeo_action, "apply", lambda f, c: images[c.lift])
+    viol = check_automorphism(linear_map([[1, 0], [0, 1]]), bouquet)
+    assert [v for v in viol if v["kind"] == "clique_type"] == [
+        {"triple": [0, 1, 2], "kind": "clique_type",
+         "before": "bouquet", "after": after}
+    ]
 
 
 # ----------------------------------------------------------- functoriality
