@@ -35,6 +35,7 @@ from .fine_graph import (
     BOUQUET,
     EdgeT,
     NotAClique,
+    NotAVertex,
     TransverseEdge,
     WitnessSearchFailed,
     _chain_arcs,
@@ -718,7 +719,7 @@ def _boundary_hug_delta(cross: Sequence[TorusCurve], x: RatPoint):
                 cand = TorusCurve(_offset_walk(pts, eps))
                 try:
                     check_vertex(cand)
-                except Exception:
+                except NotAVertex:
                     eps /= 2
                     continue
                 if all(
@@ -787,7 +788,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
         try:
             delta = _chain_arcs([germ, r])
             check_vertex(delta)
-        except Exception:
+        except (RuntimeError, ValueError):  # NotAVertex is a ValueError
             return None
         for w in cross:
             tag = is_edge(delta, w)
@@ -884,7 +885,7 @@ def verify_chain(cert: ChainCertificate) -> list[str]:
     for i, (u, v, w) in enumerate(cert.moves):
         try:
             rep = classify_clique3(u, v, w)
-        except Exception as exc:
+        except (NotAClique, NotAVertex) as exc:
             out.append(f"move {i}: not a clique ({exc})")
             continue
         if rep.type != BOUQUET:

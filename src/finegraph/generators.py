@@ -22,6 +22,8 @@ from .fine_graph import (
     BOUQUET,
     NECKLACE,
     TWO_PAIR,
+    NotAClique,
+    NotAVertex,
     TransverseEdge,
     check_vertex,
     classify_clique3,
@@ -183,7 +185,7 @@ def rand_clique3(rng: random.Random, typ: str) -> list[TorusCurve]:
                 check_vertex(u)
             if classify_clique3(*trio).type == typ:
                 return trio
-        except Exception:
+        except (NotAVertex, NotAClique):
             continue
     raise RuntimeError(f"clique generation failed for {typ}")
 
@@ -222,6 +224,6 @@ def rand_chain_triple(rng: random.Random):
                 and torus_rep(tb.point) == torus_rep(tc.point)
             ):
                 return trio
-        except Exception:
+        except NotAVertex:
             continue
     raise RuntimeError("chain triple generation failed")

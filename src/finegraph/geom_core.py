@@ -1,9 +1,10 @@
 """Exact rational planar primitives.
 
-Points are pairs of ``fractions.Fraction``.  All predicates are exact; no
-floating point enters any decision.  Floats appear only inside the
-conservative padded-box prefilter used to skip obviously disjoint segment
-pairs, and every candidate surviving the prefilter is confirmed exactly.
+Points are pairs of ``fractions.Fraction``.  All predicates are exact.
+Floats appear only in the prefilter that skips segment pairs: padded float
+boxes (``float_box``) and the float orientation filter ``surely_disjoint``,
+which ``routing`` shares.  Each skips a pair only when its error bound
+proves the exact segments disjoint; every other pair is decided exactly.
 """
 
 from __future__ import annotations
@@ -164,19 +165,20 @@ def polyline_self_intersects(path: Sequence[RatPoint], closed: bool = False) -> 
     shared vertex."""
     edges = polyline_edges(path, closed)
     n = len(edges)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = j == i + 1 or (closed and i == 0 and j == n - 1)
-            res = segment_intersection(edges[i], edges[j])
-            if isinstance(res, Empty):
-                continue
-            if isinstance(res, Overlap):
-                return True
-            if not adjacent:
-                return True
-            shared = edges[i].q if j == i + 1 else edges[i].p
-            if res.point != shared:
-                return True
+    for _, i, j in bbox_candidate_pairs(edges, edges):
+        if j <= i:
+            continue
+        adjacent = j == i + 1 or (closed and i == 0 and j == n - 1)
+        res = segment_intersection(edges[i], edges[j])
+        if isinstance(res, Empty):
+            continue
+        if isinstance(res, Overlap):
+            return True
+        if not adjacent:
+            return True
+        shared = edges[i].q if j == i + 1 else edges[i].p
+        if res.point != shared:
+            return True
     return False
 
 
@@ -191,29 +193,57 @@ def float_box(px: float, py: float, qx: float, qy: float):
     return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
 
 
+def surely_disjoint(px, py, qx, qy, ax, ay, bx, by, shift) -> bool:
+    """Float filter: True only when the segments (px, py)-(qx, qy) and
+    (ax, ay)-(bx, by) provably miss.
+
+    Each input is an exact coordinate converted to a float (relative error
+    at most u = 2**-53), possibly plus an integer of magnitude at most
+    ``shift`` added in floats.  With M the largest of ``shift`` and the
+    inputs' magnitudes, every coordinate before and after its shift is at
+    most 2M, so each input is off by at most 3uM, each difference of two
+    inputs by at most 8uM, and each determinant below (two products of
+    differences at most 2M) by less than 80uM**2 < 1e-14 * M**2.  The margin
+    1e-9 * (1 + M)**2 is far above that: a segment strictly on one side of
+    the other's supporting line by more than the margin cannot touch it, and
+    anything closer falls through to the exact test."""
+    m = 1e-9 * (1.0 + max(abs(px), abs(py), abs(qx), abs(qy), abs(ax), abs(ay), abs(bx), abs(by), shift)) ** 2
+    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+    if (d1 > m and d2 > m) or (d1 < -m and d2 < -m):
+        return True
+    d3 = (qx - px) * (ay - py) - (qy - py) * (ax - px)
+    d4 = (qx - px) * (by - py) - (qy - py) * (bx - px)
+    return (d3 > m and d4 > m) or (d3 < -m and d4 < -m)
+
+
 def bbox_candidate_pairs(
     segs1: Sequence[Segment],
     segs2: Sequence[Segment],
     shifts: Iterable[tuple[int, int]] = ((0, 0),),
 ) -> Iterator[tuple[tuple[int, int], int, int]]:
     """(v, i, j) for each shift v and each pair with segs1[i] and segs2[j] + v
-    in overlapping padded float boxes, in the order of shifts, then i, then j.
+    in overlapping padded float boxes that ``surely_disjoint`` does not
+    prove apart, in the order of shifts, then i, then j.
 
     Conservative: no pair that meets exactly is ever skipped, so callers
     confirm candidates exactly and build shifted segments only for them.
     """
 
-    def boxes(segs):
-        return [
-            float_box(float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1]))
-            for s in segs
-        ]
+    def floats(segs):
+        return [(float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1])) for s in segs]
 
-    boxes1, boxes2 = boxes(segs1), boxes(segs2)
+    f1 = floats(segs1)
+    f2 = f1 if segs2 is segs1 else floats(segs2)
+    boxes1 = [float_box(*f) for f in f1]
+    boxes2 = [float_box(*f) for f in f2]
     for v in shifts:
         vx, vy = float(v[0]), float(v[1])
+        scale = max(abs(vx), abs(vy))
         moved = [(x0 + vx, x1 + vx, y0 + vy, y1 + vy) for x0, x1, y0, y1 in boxes2]
         for i, (ax0, ax1, ay0, ay1) in enumerate(boxes1):
             for j, (bx0, bx1, by0, by1) in enumerate(moved):
                 if bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1:
-                    yield v, i, j
+                    px, py, qx, qy = f2[j]
+                    if not surely_disjoint(*f1[i], px + vx, py + vy, qx + vx, qy + vy, scale):
+                        yield v, i, j

@@ -28,6 +28,7 @@ from .geom_core import (
     bbox_candidate_pairs,
     cross,
     path_segments,
+    polyline_self_intersects,
     segment_intersection,
     shift_segment,
     vadd,
@@ -222,16 +223,8 @@ def _thread_strip(
 
 
 def _path_simple(path: list[RatPoint]) -> bool:
-    segs = path_segments(path)
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            res = segment_intersection(segs[i], segs[j])
-            if isinstance(res, Empty):
-                continue
-            if j == i + 1 and not isinstance(res, Overlap):
-                continue
-            return False
-    return True
+    pts = [p for k, p in enumerate(path) if k == 0 or p != path[k - 1]]
+    return not polyline_self_intersects(pts)
 
 
 def _slim(path: list[RatPoint], blockers: SegmentSet) -> list[RatPoint]:

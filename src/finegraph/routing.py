@@ -3,10 +3,13 @@
 ``SegmentSet`` answers exact contact queries against obstacle segments
 repeated under the torus or annulus translations; float boxes and float
 orientation filters settle clear-cut cases, and everything closer is decided
-exactly.  ``torus_route`` finds paths on the torus by BFS on a rational
-grid: a grid edge is accepted only when the float ``surely_free`` test
-proves it clear by more than the rounding margin, and only the two segments
-attaching the endpoints to the grid and the shortcuts are tested exactly.
+exactly.  The disjointness filter is ``geom_core.surely_disjoint``, which
+``bbox_candidate_pairs`` uses too; the proper-crossing filter
+``_surely_crossing`` lives here and has the same error bound.
+``torus_route`` finds paths on the torus by BFS on a rational grid: a grid
+edge is accepted only when the float ``surely_free`` test proves it clear by
+more than the rounding margin, and only the two segments attaching the
+endpoints to the grid and the shortcuts are tested exactly.
 Every result is an exact PL path whose segments provably avoid the
 obstacles.  Paths through annulus strips use ``germs_width``'s strip router.
 """
@@ -25,29 +28,15 @@ from .geom_core import (
     float_box,
     segment_intersection,
     shift_segment,
+    surely_disjoint,
     vadd,
 )
 
 
-def _surely_disjoint(px, py, qx, qy, ax, ay, bx, by) -> bool:
-    """Float filter: True only when the two segments provably miss.
-
-    A segment strictly on one side of the other's supporting line, by more
-    than a conservative rounding margin, cannot touch it; anything closer
-    falls through to the exact test."""
-    m = 1e-9 * (1.0 + max(abs(px), abs(py), abs(qx), abs(qy), abs(ax), abs(ay), abs(bx), abs(by))) ** 2
-    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    d2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-    if (d1 > m and d2 > m) or (d1 < -m and d2 < -m):
-        return True
-    d3 = (qx - px) * (ay - py) - (qy - py) * (ax - px)
-    d4 = (qx - px) * (by - py) - (qy - py) * (bx - px)
-    return (d3 > m and d4 > m) or (d3 < -m and d4 < -m)
-
-
-def _surely_crossing(px, py, qx, qy, ax, ay, bx, by) -> bool:
-    """Float filter: True only when the segments provably cross properly."""
-    m = 1e-9 * (1.0 + max(abs(px), abs(py), abs(qx), abs(qy), abs(ax), abs(ay), abs(bx), abs(by))) ** 2
+def _surely_crossing(px, py, qx, qy, ax, ay, bx, by, shift) -> bool:
+    """Float filter: True only when the segments provably cross properly;
+    inputs and margin as in ``geom_core.surely_disjoint``."""
+    m = 1e-9 * (1.0 + max(abs(px), abs(py), abs(qx), abs(qy), abs(ax), abs(ay), abs(bx), abs(by), shift)) ** 2
     d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     d2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
     if not ((d1 > m and d2 < -m) or (d1 < -m and d2 > m)):
@@ -147,11 +136,12 @@ class SegmentSet:
         for (i, j) in self._translates(bx0, bx1, by0, by1):
             a0, a1 = bx0 - i, bx1 - i
             b0, b1 = by0 - j, by1 - j
+            shift = max(abs(i), abs(j))
             for k in cand:
                 sx0, sx1, sy0, sy1 = self._boxf[k]
                 if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
                     continue
-                if not _surely_disjoint(px - i, py - j, qx - i, qy - j, *self._segf[k]):
+                if not surely_disjoint(px - i, py - j, qx - i, qy - j, *self._segf[k], shift):
                     return False
         return True
 
@@ -169,15 +159,16 @@ class SegmentSet:
             fi, fj = float(i), float(j)
             a0, a1 = bx0 - fi, bx1 - fi
             b0, b1 = by0 - fj, by1 - fj
+            shift = max(abs(fi), abs(fj))
             moved = None
             for k in cand:
                 sx0, sx1, sy0, sy1 = self._boxf[k]
                 if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
                     continue
-                if _surely_disjoint(px - fi, py - fj, qx - fi, qy - fj, *self._segf[k]):
+                if surely_disjoint(px - fi, py - fj, qx - fi, qy - fj, *self._segf[k], shift):
                     continue
                 if not allow and _surely_crossing(
-                    px - fi, py - fj, qx - fi, qy - fj, *self._segf[k]
+                    px - fi, py - fj, qx - fi, qy - fj, *self._segf[k], shift
                 ):
                     return True
                 if moved is None:

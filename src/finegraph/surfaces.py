@@ -9,8 +9,9 @@ many integer translates that can meet a bounding box, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -61,12 +62,13 @@ def torus_rep(p: RatPoint) -> RatPoint:
 class TorusCurve:
     """A closed PL curve on R^2/Z^2, given by one lifted period.
 
-    ``lift`` runs from v0 to v0+(p,q); the closing edge from the last point
-    back to the first translate is implicit when (p,q) != (0,0) and the last
-    point differs from v0+(p,q).
+    ``lift`` runs from v0 to v0+(p,q), where (p,q) is the integer
+    ``homology``.  Equality, hashing and repr use ``lift`` alone; the
+    segments and the simplicity verdict are computed once per object.
     """
 
     lift: tuple[RatPoint, ...]
+    homology: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, lift: Sequence[RatPoint]):
         lift = tuple((Fraction(x), Fraction(y)) for x, y in lift)
@@ -83,25 +85,19 @@ class TorusCurve:
         if len(clean) < 2:
             raise ValueError("degenerate lift")
         object.__setattr__(self, "lift", tuple(clean))
-
-    @property
-    def homology(self) -> tuple[int, int]:
-        d = vsub(self.lift[-1], self.lift[0])
-        return (int(d[0]), int(d[1]))
+        object.__setattr__(self, "homology", (int(d[0]), int(d[1])))
 
     def period_path(self) -> list[RatPoint]:
-        """The lift as a closed period: first point repeated translated."""
-        if self.lift[-1] == vadd(self.lift[0], self._closing()):
-            return list(self.lift)
-        return list(self.lift) + [vadd(self.lift[0], self._closing())]
+        """The lift as a closed period: it ends at its first point plus the
+        homology."""
+        return list(self.lift)
 
-    def _closing(self) -> RatPoint:
-        h = self.homology
-        return (Fraction(h[0]), Fraction(h[1]))
+    @cached_property
+    def _segments(self) -> tuple[Segment, ...]:
+        return tuple(path_segments(self.lift))
 
     def segments(self) -> list[Segment]:
-        path = self.period_path()
-        return [Segment(path[i], path[i + 1]) for i in range(len(path) - 1)]
+        return list(self._segments)
 
     def translate(self, v: tuple[int, int]) -> "TorusCurve":
         w = (Fraction(v[0]), Fraction(v[1]))
@@ -176,7 +172,14 @@ def torus_pair_hits(a: TorusCurve, b: TorusCurve):
 
 
 def torus_curve_simple(c: TorusCurve) -> bool:
-    """Is the projected curve embedded on the torus?"""
+    """Is the projected curve embedded on the torus?  Decided once per curve
+    object and kept on it."""
+    if "_simple" not in c.__dict__:
+        object.__setattr__(c, "_simple", _embedded(c))
+    return c._simple
+
+
+def _embedded(c: TorusCurve) -> bool:
     path = c.period_path()
     if polyline_self_intersects(path, closed=False):
         return False

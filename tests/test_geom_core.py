@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finegraph.geom_core import (
     EMPTY,
@@ -16,6 +16,7 @@ from finegraph.geom_core import (
     pt,
     segment_intersection,
     shift_segment,
+    surely_disjoint,
     vadd,
 )
 from finegraph.routing import SegmentSet
@@ -146,16 +147,34 @@ big = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
 shift_st = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
+# parameters whose points are not dyadic, so that floats round them
+ratios = st.sampled_from((Fraction(1, 3), Fraction(2, 7), Fraction(1, 1009))) | st.fractions(
+    0, 1, max_denominator=10**6
+).filter(lambda t: 0 < t < 1)
+
+
+def _at(p, q, t):
+    return (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t)
+
+
 @st.composite
 def segment_lists(draw):
-    """Segments over a shared point pool, with axis-parallel pieces and
-    collinear sub-segments, so that shared endpoints and overlaps occur."""
+    """Segments over a shared point pool, with axis-parallel pieces,
+    collinear sub-segments and T-junctions (a segment and a stem starting
+    inside it), so that shared endpoints, overlaps and interior touches
+    occur."""
     pool = draw(st.lists(st.tuples(big, big), min_size=2, max_size=6, unique=True))
     segs = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(("pool", "axis", "sub")))
+        kind = draw(st.sampled_from(("pool", "axis", "sub", "tee")))
         p = draw(st.sampled_from(pool))
-        if kind == "pool":
+        if kind == "tee":
+            q = draw(st.sampled_from(pool))
+            if p != q:
+                segs.append(Segment(p, q))
+                p = _at(p, q, draw(ratios))
+            q = draw(st.sampled_from(pool))
+        elif kind == "pool":
             q = draw(st.sampled_from(pool))
         elif kind == "axis":
             d = draw(big.filter(lambda x: x != 0))
@@ -165,10 +184,7 @@ def segment_lists(draw):
             t, u = draw(st.fractions(0, 1, max_denominator=10**6)), draw(
                 st.fractions(0, 1, max_denominator=10**6)
             )
-            p, q = (
-                (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t),
-                (p[0] + (q[0] - p[0]) * u, p[1] + (q[1] - p[1]) * u),
-            )
+            p, q = _at(p, q, t), _at(p, q, u)
         if p != q:
             segs.append(Segment(p, q))
     return segs
@@ -198,6 +214,50 @@ def test_bbox_candidates_keep_every_contact_in_order(segs1, segs2, shifts, data)
     ]
     got_set = set(got)
     assert all(c in got_set for c in want)
+
+
+@st.composite
+def touching_pairs(draw):
+    """(s1, s2, v): segments s1 and s2 that meet, and an integer shift v.
+
+    s2 meets s1 at a T-junction (an end of s2 inside s1, at a non-dyadic
+    point), at a shared endpoint, or along a collinear overlap or touch.
+    Shifts reach far beyond the coordinates, so that s2 - v is large where
+    s2 is small."""
+    coord = big | st.integers(-2018, 2018).map(lambda k: Fraction(k, 1009))
+    p, q = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(("tee", "endpoint", "collinear")))
+    t = draw(ratios)
+    if kind == "collinear":
+        u = draw(st.fractions(-1, 2, max_denominator=10**6).filter(lambda u: u != t))
+        a, b = _at(p, q, t), _at(p, q, u)
+    else:
+        a = _at(p, q, t) if kind == "tee" else draw(st.sampled_from((p, q)))
+        b = draw(st.tuples(coord, coord).filter(lambda b: b != a))
+    v = draw(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9)))
+    return Segment(p, q), Segment(a, b), v
+
+
+def _floats(s):
+    return (float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1]))
+
+
+@settings(max_examples=300)
+@given(touching_pairs())
+def test_surely_disjoint_never_skips_a_contact(pair):
+    s1, s2, v = pair
+    assert not isinstance(segment_intersection(s1, s2), Empty)
+    # s2 reaches the filter as the float copy of s2 - v, moved back by v in
+    # floats, as bbox_candidate_pairs and SegmentSet.hits hand it over
+    vx, vy = float(v[0]), float(v[1])
+    px, py, qx, qy = _floats(shift_segment(s2, (-v[0], -v[1])))
+    moved = (px + vx, py + vy, qx + vx, qy + vy)
+    scale = max(abs(vx), abs(vy))
+    assert not surely_disjoint(*_floats(s1), *moved, scale)
+    assert not surely_disjoint(*moved, *_floats(s1), scale)
+    assert not surely_disjoint(*_floats(s1), *_floats(s2), 0.0)
+    back = [shift_segment(s2, (-v[0], -v[1]))]
+    assert list(bbox_candidate_pairs([s1], back, [v])) == [(v, 0, 0)]
 
 
 def test_bbox_candidates_skip_distant_boxes():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from finegraph import homeo_action
-from finegraph.generators import rand_vertex
+from finegraph.fine_graph import TransverseEdge, is_edge
+from finegraph.generators import REALIZABLE_TYPES, rand_clique3, rand_vertex
 from finegraph.geom_core import pt
 from finegraph.homeo_action import (
     InvalidMap,
@@ -16,7 +17,7 @@ from finegraph.homeo_action import (
     pl_map,
     translation_map,
 )
-from finegraph.surfaces import TorusCurve, torus_rep
+from finegraph.surfaces import TorusCurve, torus_curve_simple, torus_rep
 
 F = Fraction
 
@@ -139,6 +140,72 @@ def test_clique_type_violation_reports_image_type(monkeypatch, image, after):
         {"triple": [0, 1, 2], "kind": "clique_type",
          "before": "bouquet", "after": after}
     ]
+
+
+# ------------------------------------------- symmetry oracles: SL(2,Z) x Q^2
+
+_SL2_GENERATORS = ([[0, -1], [1, 0]], [[1, 1], [0, 1]], [[1, -1], [0, 1]], [[1, 0], [1, 1]])
+
+
+def _rand_affine(rng):
+    """x -> Mx + v for a random M in SL(2,Z) and v in Q^2, as the pair of
+    maps (linear, translation)."""
+    m = [[1, 0], [0, 1]]
+    for _ in range(rng.randrange(1, 4)):
+        g = rng.choice(_SL2_GENERATORS)
+        m = [[sum(m[i][k] * g[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    v = (F(rng.randrange(1009), 1009), F(rng.randrange(1009), 1009))
+    return linear_map(m), translation_map(v)
+
+
+def _image(f, c):
+    """c mapped point by point; unlike ``apply`` it takes non-simple curves."""
+    lin, shift = f
+    return TorusCurve([map_point(shift, map_point(lin, p)) for p in c.period_path()])
+
+
+def _apply(f, c):
+    lin, shift = f
+    return apply(shift, apply(lin, c))
+
+
+def test_simplicity_commutes_with_affine_maps():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(120):
+        h = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (1, -2), (2, 0)])
+        p0 = (F(rng.randrange(13), 13), F(rng.randrange(17), 17))
+        pts = [p0]
+        for k in range(1, rng.randrange(2, 5)):
+            jitter = (F(rng.randrange(-3, 4), 7), F(rng.randrange(-3, 4), 11))
+            pts.append((p0[0] + F(k, 4) * h[0] + jitter[0], p0[1] + F(k, 4) * h[1] + jitter[1]))
+        pts.append((p0[0] + h[0], p0[1] + h[1]))
+        c = TorusCurve(pts)
+        f = _rand_affine(rng)
+        simple = torus_curve_simple(c)
+        seen.add(simple)
+        assert torus_curve_simple(_image(f, c)) == simple
+        if simple:
+            assert _apply(f, c) == _image(f, c)
+    assert seen == {True, False}
+
+
+def test_edge_tags_commute_with_affine_maps():
+    rng = random.Random(6)
+    seen = set()
+    for typ in REALIZABLE_TYPES * 4:
+        curves = rand_clique3(rng, typ) + [rand_vertex(rng)]
+        f = _rand_affine(rng)
+        images = [_apply(f, c) for c in curves]
+        for i, j in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]:
+            t1, t2 = is_edge(curves[i], curves[j]), is_edge(images[i], images[j])
+            seen.add(type(t1).__name__)
+            assert type(t1) is type(t2)
+            if isinstance(t1, TransverseEdge):
+                lin, shift = f
+                want = map_point(shift, map_point(lin, t1.point))
+                assert torus_rep(t2.point) == torus_rep(want)
+    assert seen == {"DisjointEdge", "TransverseEdge", "NonEdge"}
 
 
 # ----------------------------------------------------------- functoriality

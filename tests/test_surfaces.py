@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from finegraph import surfaces
 from finegraph.geom_core import Empty, Segment, pt, segment_intersection, vadd
 from finegraph.surfaces import (
     AnnulusArc,
@@ -87,6 +88,41 @@ def test_simplicity_checks():
         [pt(0, 0), pt(F(5, 8), 0), pt(F(3, 8), F(5, 4)), pt(1, 0)]
     )
     assert not torus_curve_simple(bad2)
+
+
+def test_cached_curve_data_is_handed_out_fresh():
+    c = TorusCurve([pt(0, F(1, 2)), pt(F(1, 2), F(3, 4)), pt(1, F(1, 2))])
+    segs, path = c.segments(), c.period_path()
+    assert torus_curve_simple(c)
+    segs.append(Segment(pt(0, 0), pt(1, 1)))
+    del path[1:]
+    assert c.segments() == [
+        Segment(pt(0, F(1, 2)), pt(F(1, 2), F(3, 4))),
+        Segment(pt(F(1, 2), F(3, 4)), pt(1, F(1, 2))),
+    ]
+    assert c.period_path() == list(c.lift) and len(c.lift) == 3
+    assert c.segments() is not c.segments()
+    assert c.homology == (1, 0)
+    # cached data takes no part in equality, hashing or repr
+    fresh = TorusCurve(list(c.lift))
+    assert c == fresh and hash(c) == hash(fresh) and {c, fresh} == {c}
+    assert repr(c) == repr(fresh) == (
+        "TorusCurve(lift=((Fraction(0, 1), Fraction(1, 2)), "
+        "(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 1), Fraction(1, 2))))"
+    )
+    assert c != TorusCurve([pt(0, F(1, 2)), pt(1, F(1, 2))])
+
+
+def test_simplicity_is_decided_once_per_curve_object(monkeypatch):
+    seen = []
+    decide = surfaces._embedded
+    monkeypatch.setattr(surfaces, "_embedded", lambda c: seen.append(c) or decide(c))
+    c = TorusCurve([pt(0, 0), pt(2, 0)])
+    assert not torus_curve_simple(c) and not torus_curve_simple(c)
+    assert len(seen) == 1
+    # an equal curve is a new object and decides afresh
+    assert not torus_curve_simple(TorusCurve([pt(0, 0), pt(2, 0)]))
+    assert len(seen) == 2
 
 
 # ------------------------------------------------------------- deck shifts
