@@ -581,6 +581,12 @@ class ChainCertificate:
 
 
 def _curves_coincide(b: TorusCurve, c: TorusCurve) -> bool:
+    """Do b and c trace the same set on the torus?  Equal lifts do at once;
+    otherwise every vertex and segment midpoint of each must lie on the
+    other."""
+    if b == c:
+        return True
+
     def covered(u, v):
         path = v.period_path()
         for s in u.segments():

@@ -95,7 +95,7 @@ def load_operand(obj, default_model=None):
     if "generator" in obj:
         try:
             return GermSpec.from_json(obj)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ParseFailure(f"bad germ: {exc}")
     name = obj.get("model", default_model or "torus")
     try:
@@ -111,6 +111,8 @@ def load_operand(obj, default_model=None):
             if "homology" in obj and tuple(obj["homology"]) != curve.homology:
                 raise ParseFailure("declared homology does not match the lift")
             return curve
+        if any(p == q for p, q in zip(pts, pts[1:])):
+            raise ParseFailure("repeated consecutive point in the lift")
         return AnnulusArc(model, pts, tuple(obj.get("end_rays", (0, 0))))
     except ParseFailure:
         raise

@@ -1,4 +1,4 @@
-"""Curve-pair intersection reports, push-aside, and genericity perturbation.
+"""Curve-pair intersection reports, push-aside, and genericity checks.
 
 Transversality is topological: at an isolated common point the four local
 branches must alternate between the two curves in cyclic order.  Since PL
@@ -47,10 +47,6 @@ class SideChoice(Enum):
 
 
 class ClearanceFailure(RuntimeError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 
@@ -311,42 +307,3 @@ def is_generic(curves: Sequence[TorusCurve]) -> bool:
             if not _pair_generic(curves[i], curves[j]):
                 return False
     return _no_triple_points(curves)
-
-
-_DIRS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-
-
-def perturb_to_generic(
-    curves: Sequence[TorusCurve], delta: Fraction = Fraction(1, 100)
-) -> list[TorusCurve]:
-    """Deterministic jitter into general position.
-
-    Vertex i of curve j moves by at most delta/2^i along a fixed direction
-    sequence; the whole schedule halves on every failed attempt.  Idempotent
-    on already-generic input.
-    """
-    curves = list(curves)
-    if is_generic(curves):
-        return curves
-    delta = Fraction(delta)
-    for attempt in range(24):
-        scale = delta / 2**attempt
-        out = []
-        for j, c in enumerate(curves):
-            path = c.period_path()
-            pts = path[:-1]
-            h = c.homology
-            new_pts = []
-            for i, p in enumerate(pts):
-                d = _DIRS[(i + 3 * j + 5 * attempt) % 4]
-                step = scale / 2**i
-                new_pts.append((p[0] + step * d[0], p[1] + step * d[1]))
-            out.append(
-                TorusCurve(
-                    new_pts
-                    + [vadd(new_pts[0], (Fraction(h[0]), Fraction(h[1])))]
-                )
-            )
-        if is_generic(out):
-            return out
-    raise BudgetExceeded("no generic perturbation found within delta")

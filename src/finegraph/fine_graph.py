@@ -557,12 +557,10 @@ def _build_germ_loop(germ, c, seg_index, frac, gate_t, extra=()):
     The loop runs from the germ's forward end to a gate through c and back
     to the germ's backward end, avoiding c and the extra obstacles."""
     s0, s1 = germ[0], germ[-1]
+    own = _segset([c])
     for _ in range(8):
         e1, m, e2 = _gate_at(c, seg_index, frac, gate_t)
-        gate_ok = not _segset([c]).hits(Segment(e1, m), allow=[m]) and not _segset(
-            [c]
-        ).hits(Segment(m, e2), allow=[m])
-        if not gate_ok:
+        if own.hits(Segment(e1, m), allow=[m]) or own.hits(Segment(m, e2), allow=[m]):
             gate_t /= 2
             continue
         obs1 = _segset([c, germ, *extra, [e1, e2]])
@@ -651,29 +649,25 @@ def _routed_loop(
         ok = True
         for run in groups:
             found = None
+            prev = _segset([g[3] for g in base])
             if len(run) > 1:
                 found = _probe_gate(curves, run, gate_t)
-                if found is not None and base:
-                    if _segset([g[3] for g in base]).hits(
-                        Segment(found[0], found[2])
-                    ):
-                        found = None
+                if found is not None and prev.hits(Segment(found[0], found[2])):
+                    found = None
             else:
                 k = run[0]
                 u = curves[k]
+                blockers = _segset([c for j, c in enumerate(curves) if j != k])
+                own = _segset([u])
                 for si in range(len(u.segments())):
                     for fc in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)):
                         e1, m, e2 = _gate_at(u, si, fc, gate_t)
-                        blockers = _segset(
-                            [c for j, c in enumerate(curves) if j != k]
-                        )
                         if blockers.hits(Segment(e1, e2)):
                             continue
-                        if _segset([u]).hits(Segment(e1, m), allow=[m]) or _segset(
-                            [u]
-                        ).hits(Segment(m, e2), allow=[m]):
+                        if own.hits(Segment(e1, m), allow=[m]) or own.hits(
+                            Segment(m, e2), allow=[m]
+                        ):
                             continue
-                        prev = _segset([g[3] for g in base])
                         if prev.hits(Segment(e1, e2)):
                             continue
                         found = (e1, m, e2, [e1, m, e2])
@@ -688,31 +682,35 @@ def _routed_loop(
             gate_t /= 2
             continue
 
-        def side_face(p):
-            if locator is None:
-                return None
-            try:
-                return locator.locate(torus_rep(p))
-            except WitnessSearchFailed:
-                return None
+        # the faces on both sides of every gate, located once; flipping a
+        # gate swaps its ends and so its two faces
+        ends = None
+        if locator is not None:
+            ends = []
+            for e1, _, e2, _ in base:
+                pair = []
+                for p in (e1, e2):
+                    try:
+                        pair.append(locator.locate(torus_rep(p)))
+                    except WitnessSearchFailed:
+                        pair.append(None)
+                ends.append(pair)
 
         for flips in product((1, -1), repeat=len(base)):
+            if ends is not None:
+                sides = [ends[gi][::f] for gi, f in enumerate(flips)]
+                if not all(
+                    sides[gi][1] is not None
+                    and sides[gi][1] == sides[(gi + 1) % len(sides)][0]
+                    for gi in range(len(sides))
+                ):
+                    continue
             gates = []
             for g, f in zip(base, flips):
                 e1, m, e2, _ = g
                 if f < 0:
                     e1, e2 = e2, e1
                 gates.append((e1, m, e2, [e1, m, e2]))
-            if locator is not None:
-                chain_ok = True
-                for gi in range(len(gates)):
-                    f_exit = side_face(gates[gi][2])
-                    f_entry = side_face(gates[(gi + 1) % len(gates)][0])
-                    if f_exit is None or f_entry is None or f_exit != f_entry:
-                        chain_ok = False
-                        break
-                if not chain_ok:
-                    continue
             parts = []
             built_paths = [g[3] for g in gates]
             ok = True

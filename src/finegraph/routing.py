@@ -51,7 +51,10 @@ class SegmentSet:
 
     ``wrap_x``/``wrap_y`` mark translation lattice directions under which the
     obstacles repeat ((1,0),(0,1) for torus curves, (1,0) for annulus lifts,
-    none for plain planar obstacles)."""
+    none for plain planar obstacles).  A query tests the probe's box against
+    every obstacle box under each translate that can reach it; sets hold a
+    few dozen segments and most are queried only a few times, so no spatial
+    index is built."""
 
     def __init__(
         self,
@@ -98,47 +101,17 @@ class SegmentSet:
         )
         return [(i, j) for i in vx for j in vy]
 
-    _GRID = 32
-
-    def _cell_range(self, lo, hi, wrap):
-        g = self._GRID
-        lo, hi = lo - 1e-6, hi + 1e-6
-        a, b = math.floor(lo * g), math.floor(hi * g)
-        if wrap:
-            if b - a >= g:
-                return range(g)
-            return [c % g for c in range(a, b + 1)]
-        return range(a, b + 1)
-
-    def _candidates(self, bx0, bx1, by0, by1):
-        """Indices of obstacle segments whose box can meet the probe box
-        under some translate; a conservative superset via cell buckets."""
-        if not hasattr(self, "_cells"):
-            cells: dict[tuple[int, int], list[int]] = {}
-            for k, (sx0, sx1, sy0, sy1) in enumerate(self._boxf):
-                for cx in self._cell_range(sx0, sx1, self.wrap_x):
-                    for cy in self._cell_range(sy0, sy1, self.wrap_y):
-                        cells.setdefault((cx, cy), []).append(k)
-            self._cells = cells
-        out: set[int] = set()
-        for cx in self._cell_range(bx0, bx1, self.wrap_x):
-            for cy in self._cell_range(by0, by1, self.wrap_y):
-                out.update(self._cells.get((cx, cy), ()))
-        return out
-
     def surely_free(self, px, py, qx, qy) -> bool:
         """True only when the float segment provably misses every obstacle
         copy; anything within the rounding margin counts as blocked."""
         if not self.segs:
             return True
         bx0, bx1, by0, by1 = float_box(px, py, qx, qy)
-        cand = self._candidates(bx0, bx1, by0, by1)
         for (i, j) in self._translates(bx0, bx1, by0, by1):
             a0, a1 = bx0 - i, bx1 - i
             b0, b1 = by0 - j, by1 - j
             shift = max(abs(i), abs(j))
-            for k in cand:
-                sx0, sx1, sy0, sy1 = self._boxf[k]
+            for k, (sx0, sx1, sy0, sy1) in enumerate(self._boxf):
                 if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
                     continue
                 if not surely_disjoint(px - i, py - j, qx - i, qy - j, *self._segf[k], shift):
@@ -154,15 +127,13 @@ class SegmentSet:
         px, py = float(seg.p[0]), float(seg.p[1])
         qx, qy = float(seg.q[0]), float(seg.q[1])
         bx0, bx1, by0, by1 = float_box(px, py, qx, qy)
-        cand = self._candidates(bx0, bx1, by0, by1)
         for (i, j) in self._translates(bx0, bx1, by0, by1):
             fi, fj = float(i), float(j)
             a0, a1 = bx0 - fi, bx1 - fi
             b0, b1 = by0 - fj, by1 - fj
             shift = max(abs(fi), abs(fj))
             moved = None
-            for k in cand:
-                sx0, sx1, sy0, sy1 = self._boxf[k]
+            for k, (sx0, sx1, sy0, sy1) in enumerate(self._boxf):
                 if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
                     continue
                 if surely_disjoint(px - fi, py - fj, qx - fi, qy - fj, *self._segf[k], shift):

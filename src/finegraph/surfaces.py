@@ -107,11 +107,6 @@ class TorusCurve:
         return TorusCurve(list(reversed(self.period_path())))
 
 
-def homology_class(c: TorusCurve) -> tuple[int, int]:
-    """Closing translation vector; nonseparating iff nonzero."""
-    return c.homology
-
-
 def path_homology(path: Sequence[RatPoint]) -> tuple[Fraction, Fraction]:
     d = vsub(path[-1], path[0])
     return (d[0], d[1])
@@ -238,27 +233,13 @@ class AnnulusArc:
         object.__setattr__(self, "end_rays", tuple(end_rays))
 
     def segments(self) -> list[Segment]:
-        return [
-            Segment(self.lift[i], self.lift[i + 1])
-            for i in range(len(self.lift) - 1)
-        ]
+        return path_segments(self.lift)
 
     def shifted(self, k: int) -> "AnnulusArc":
         w = (Fraction(k), Fraction(0))
         return AnnulusArc(
             self.model, [vadd(p, w) for p in self.lift], self.end_rays
         )
-
-
-@dataclass(frozen=True)
-class DeckShift:
-    k: int
-
-    def __call__(self, arc: AnnulusArc) -> AnnulusArc:
-        return arc.shifted(self.k)
-
-    def compose(self, other: "DeckShift") -> "DeckShift":
-        return DeckShift(self.k + other.k)
 
 
 def _x_shift_range(a_pts, b_pts) -> list[int]:
@@ -348,10 +329,7 @@ class _CurveTrace:
         self.curve = curve
         self.label = label
         self.path = curve.period_path()
-        self.segs = [
-            Segment(self.path[i], self.path[i + 1])
-            for i in range(len(self.path) - 1)
-        ]
+        self.segs = curve.segments()
         self.n = len(self.segs)
         self.params: dict[Fraction, RatPoint] = {}
 

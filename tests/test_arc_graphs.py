@@ -10,6 +10,7 @@ from finegraph.arc_graphs import (
     PointsDiffer,
     _arc_crossings,
     _arc_simple,
+    _curves_coincide,
     _removal_ok,
     bouquet_chain,
     cut_along,
@@ -156,6 +157,17 @@ def test_chain_identical_curves():
     cert = bouquet_chain(a, b, b)
     assert len(cert.edges) == 1 and cert.moves == []
     assert verify_chain(cert) == []
+
+
+def test_curves_coincide_up_to_translation_and_start_vertex():
+    c = TorusCurve([pt(F(1, 4), 0), pt(F(1, 2), F(1, 3)), pt(F(1, 4), 1)])
+    assert _curves_coincide(c, TorusCurve(c.lift))
+    assert _curves_coincide(c, c.translate((1, 0)))
+    restarted = TorusCurve([pt(F(1, 2), F(1, 3)), pt(F(1, 4), 1), pt(F(1, 2), F(4, 3))])
+    assert restarted != c
+    assert _curves_coincide(c, restarted) and _curves_coincide(restarted, c)
+    assert not _curves_coincide(c, vertical(F(1, 4)))
+    assert not _curves_coincide(vertical(F(1, 4)), c)
 
 
 def test_chain_rejects_different_points():

@@ -136,6 +136,28 @@ def test_width_rejects_without_traceback(tmp_path, capsys, fix, want):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "fix",
+    [
+        # a germ rotation with one entry
+        {"a": dict(RAY_GERM, rot=["1"]), "b": RAY_GERM},
+        # a contraction factor with a zero denominator
+        {"a": dict(RAY_GERM, **{"lambda": "1/0"}), "b": RAY_GERM},
+        # an annulus lift repeating a point
+        {"a": cannulus([(F(1, 4), 0), (F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 4), 1)]),
+         "b": cannulus([(F(3, 4), 0), (F(3, 4), 1)])},
+    ],
+    ids=["short_rot", "lambda_over_zero", "repeated_point"],
+)
+def test_width_malformed_operand_exits_2(tmp_path, capsys, fix):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(fix))
+    code = main(["width", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_classify_runs_without_numpy(tmp_path):
     f = tmp_path / "necklace.json"
     f.write_text(json.dumps(NECKLACE_FIXTURE))

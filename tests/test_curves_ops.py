@@ -10,11 +10,10 @@ from finegraph.curves_ops import (
     intersect_curves,
     is_generic,
     min_dist2_curves,
-    perturb_to_generic,
     push_aside,
 )
 from finegraph.geom_core import pt
-from finegraph.surfaces import TorusCurve, homology_class, torus_curve_simple
+from finegraph.surfaces import TorusCurve, torus_curve_simple
 
 F = Fraction
 
@@ -73,7 +72,7 @@ def test_intersection_parity_matches_homology():
 def test_push_horizontal_no_obstacles():
     a = geodesic(1, 0, 0, F(1, 2))
     a2 = push_aside(a, SideChoice.LEFT)
-    assert homology_class(a2) == (1, 0)
+    assert a2.homology == (1, 0)
     assert not intersect_curves(a, a2).points
     assert min_dist2_curves(a, a2) > 0
 
@@ -91,7 +90,7 @@ def test_push_preserves_homology_slope_21():
     a = TorusCurve([pt(0, 0), pt(F(3, 4), F(1, 3)), pt(F(5, 4), F(2, 3)), pt(2, 1)])
     assert torus_curve_simple(a)
     a2 = push_aside(a, SideChoice.LEFT)
-    assert homology_class(a2) == (2, 1)
+    assert a2.homology == (2, 1)
     assert torus_curve_simple(a2)
     assert not intersect_curves(a, a2).points
 
@@ -118,28 +117,24 @@ def test_push_respects_disjoint_obstacle_clearance():
 # ------------------------------------------------------------ genericity
 
 
-def test_perturb_identical_pair():
+def test_is_generic_rejects_identical_pair():
     a = geodesic(1, 0, 0, F(1, 2))
     b = geodesic(1, 0, 0, F(1, 2))
-    out = perturb_to_generic([a, b], F(1, 100))
-    assert is_generic(out)
+    assert not is_generic([a, b])
 
 
-def test_perturb_idempotent_on_generic():
+def test_is_generic_accepts_transverse_pair():
     a = geodesic(1, 0, 0, F(1, 3))
     b = geodesic(0, 1, F(1, 3), 0)
-    out = perturb_to_generic([a, b], F(1, 100))
-    assert out == [a, b]
+    assert is_generic([a, b])
 
 
-def test_perturb_removes_triple_point():
+def test_is_generic_rejects_triple_point():
     curves = [
         geodesic(1, 0, 0, 0),
         geodesic(0, 1, 0, 0),
         geodesic(1, 1, 0, 0),
     ]
     assert not is_generic(curves)
-    out = perturb_to_generic(curves, F(1, 100))
-    assert is_generic(out)
-    for c, c2 in zip(curves, out):
-        assert homology_class(c2) == homology_class(c)
+    assert is_generic(curves[:2])
+    assert is_generic([curves[0], curves[1], geodesic(1, 1, 0, F(1, 2))])

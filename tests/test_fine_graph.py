@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from finegraph.fine_graph import (
     TransverseEdge,
     WitnessSearchFailed,
     _FaceLocator,
+    _routed_loop,
     check_vertex,
     classify_clique3,
     faces_met,
@@ -213,6 +215,29 @@ def test_refute_with_alphas():
         assert len(intersect_curves(d, al).transverse_points()) >= 2
     for u in trio:
         assert not isinstance(is_edge(d, u), NonEdge)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (0, 1), (1,)])
+def test_routed_loop_locates_each_gate_end_once(order):
+    # the first criterion-3 triple; (2, 1, 0) routes only after flipping
+    # gates, and (0, 1) and (1,) build a gate set for each of five widths
+    rng = random.Random(303)
+    trio = rand_clique3(rng, rng.choice(["all_disjoint", "two_pair", "bouquet"]))
+    _, loc = locator_of(list(trio))
+    located = []
+    plain = loc.locate
+
+    def counting(p):
+        located.append(p)
+        return plain(p)
+
+    loc.locate = counting
+    _routed_loop(list(trio), order, loc)
+    # gate ends of different gate sets differ, since each set has its own
+    # width; so at most two calls per gate of each set means no repeats
+    assert located
+    assert max(Counter(located).values()) == 1
+    assert len(located) <= 2 * len(order) * 5
 
 
 # ------------------------------------------------------------ face location

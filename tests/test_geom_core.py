@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finegraph.geom_core import (
     EMPTY,
@@ -304,3 +304,31 @@ def test_segment_set_hits_matches_brute_force(raw, p, q, wrap_x, wrap_y, allow_k
     allow = {"none": [], "start": [p], "end": [q]}[allow_kind]
     got = SegmentSet(obstacles, wrap_x=wrap_x, wrap_y=wrap_y).hits(seg, allow=allow)
     assert got == _brute_hits(obstacles, seg, set(allow), wrap_x, wrap_y)
+
+
+# dyadic coordinates convert to floats exactly, so the probe's floats are
+# the probe itself; coarse ones often land exactly on obstacles
+dyadic = st.integers(-8, 16).map(lambda n: Fraction(n, 8)) | st.integers(
+    -64, 128
+).map(lambda n: Fraction(n, 64))
+dyadic_pts = st.tuples(dyadic, dyadic)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(small_pts, small_pts), max_size=5),
+    dyadic_pts,
+    dyadic_pts,
+    st.booleans(),
+    st.booleans(),
+)
+@example([((0, 0), (1, 0))], (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 2)), False, False)
+@example([((0, 0), (1, 0))], (Fraction(1, 2), 1), (Fraction(5, 8), 2), False, True)
+@example([((Fraction(1, 3), 0), (Fraction(1, 3), 1))], (0, Fraction(1, 2)), (Fraction(3, 8), 2), True, False)
+def test_segment_set_surely_free_is_sound(raw, p, q, wrap_x, wrap_y):
+    obstacles = [Segment(a, b) for a, b in raw if a != b]
+    if p == q:
+        return
+    sset = SegmentSet(obstacles, wrap_x=wrap_x, wrap_y=wrap_y)
+    if sset.surely_free(float(p[0]), float(p[1]), float(q[0]), float(q[1])):
+        assert not _brute_hits(obstacles, Segment(p, q), set(), wrap_x, wrap_y)

@@ -17,7 +17,7 @@ from finegraph.homeo_action import (
     pl_map,
     translation_map,
 )
-from finegraph.surfaces import TorusCurve, torus_curve_simple, torus_rep
+from finegraph.surfaces import TorusCurve, complement_components, torus_curve_simple, torus_rep
 
 F = Fraction
 
@@ -206,6 +206,19 @@ def test_edge_tags_commute_with_affine_maps():
                 want = map_point(shift, map_point(lin, t1.point))
                 assert torus_rep(t2.point) == torus_rep(want)
     assert seen == {"DisjointEdge", "TransverseEdge", "NonEdge"}
+
+
+def test_face_count_commutes_with_affine_maps():
+    rng = random.Random(7)
+    seen = set()
+    for typ in REALIZABLE_TYPES * 4:
+        curves = rand_clique3(rng, typ) + [rand_vertex(rng)]
+        f = _rand_affine(rng)
+        for family in (curves[:2], curves[:3], curves):
+            n = len(complement_components(family))
+            seen.add(n)
+            assert len(complement_components([_apply(f, c) for c in family])) == n
+    assert len(seen) >= 5
 
 
 # ----------------------------------------------------------- functoriality

@@ -8,12 +8,10 @@ from finegraph import surfaces
 from finegraph.geom_core import Empty, Segment, pt, segment_intersection, vadd
 from finegraph.surfaces import (
     AnnulusArc,
-    DeckShift,
     ModelMismatch,
     SurfaceModel,
     TorusCurve,
     complement_components,
-    homology_class,
     lift_translates_hit,
     path_homology,
     torus_curve_simple,
@@ -47,11 +45,11 @@ def torus_intersection_points(a, b):
 
 
 def test_homology_horizontal():
-    assert homology_class(geodesic(1, 0, 0, F(1, 2))) == (1, 0)
+    assert geodesic(1, 0, 0, F(1, 2)).homology == (1, 0)
 
 
 def test_homology_slope_one():
-    assert homology_class(TorusCurve([pt(0, 0), pt(1, 1)])) == (1, 1)
+    assert TorusCurve([pt(0, 0), pt(1, 1)]).homology == (1, 1)
 
 
 def test_homology_contractible_square():
@@ -59,7 +57,7 @@ def test_homology_contractible_square():
     sq = TorusCurve(
         [pt(0, 0), pt(s, 0), pt(s, s), pt(0, s), pt(0, 0)]
     )
-    assert homology_class(sq) == (0, 0)
+    assert sq.homology == (0, 0)
 
 
 def test_homology_additive_on_concatenation():
@@ -180,9 +178,10 @@ def test_open_annulus_rays_hit():
     assert lift_translates_hit(a, b) == {2}
 
 
-def test_deck_shift_group_law():
+def test_annulus_arc_shifts_compose():
     a = vertical_arc(F(1, 3))
-    assert DeckShift(2)(DeckShift(3)(a)) == DeckShift(2).compose(DeckShift(3))(a)
+    assert a.shifted(3).shifted(2) == a.shifted(5)
+    assert a.shifted(5).shifted(-5) == a
 
 
 def interval_check(ks):
