@@ -23,6 +23,7 @@ from .geom_core import (
     Segment,
     bbox_candidate_pairs,
     cross,
+    mat_apply,
     path_segments,
     segment_intersection,
     shift_segment,
@@ -90,12 +91,8 @@ def _inv2(m):
     return ((d // det, -b // det), (-c // det, a // det))
 
 
-def _apply_mat(m, p: RatPoint) -> RatPoint:
-    return (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
-
-
 def _map_curve(m, c: TorusCurve) -> TorusCurve:
-    return TorusCurve([_apply_mat(m, p) for p in c.period_path()])
+    return TorusCurve([mat_apply(m, p) for p in c.period_path()])
 
 
 Arc = list  # lifted PL path in strip coordinates
@@ -193,7 +190,7 @@ class CutSurface:
 
     def chart(self, p: RatPoint) -> RatPoint:
         """Strip coordinates of a torus point off the cut curve."""
-        q = _apply_mat(self.nmat, p)
+        q = mat_apply(self.nmat, p)
         if lift_on_path(q, self.strip_base) is not None:
             raise PointNotOnCurve("point lies on the cut curve")
         lvl = self._strip_level(q)
@@ -202,7 +199,7 @@ class CutSurface:
         return q
 
     def chart_inv(self, q: RatPoint) -> RatPoint:
-        return torus_rep(_apply_mat(_inv2(self.nmat), q))
+        return torus_rep(mat_apply(_inv2(self.nmat), q))
 
     # ------------------------------------------------- curves become arcs
 
@@ -221,7 +218,7 @@ class CutSurface:
             if hasattr(res, "point"):
                 t_x = tr.param_of(si, res.point) % tr.n
         period = tr.sub_path(t_x, t_x)
-        arc = [_apply_mat(self.nmat, p) for p in period]
+        arc = [mat_apply(self.nmat, p) for p in period]
         if arc[-1][1] - arc[0][1] == -1:
             arc = list(reversed(arc))
         if arc[-1][1] - arc[0][1] != 1:
@@ -233,14 +230,14 @@ class CutSurface:
 
     def arc_to_curve(self, arc: Sequence[RatPoint]) -> TorusCurve:
         inv = _inv2(self.nmat)
-        return TorusCurve([_apply_mat(inv, p) for p in arc])
+        return TorusCurve([mat_apply(inv, p) for p in arc])
 
 
 def cut_along(a: TorusCurve, x: RatPoint) -> CutSurface:
     check_vertex(a)
     n = _normalizer(a.homology)
     base = _map_curve(n, a).period_path()
-    found = lift_on_path(_apply_mat(n, torus_rep(x)), base)
+    found = lift_on_path(mat_apply(n, torus_rep(x)), base)
     if found is None:
         raise PointNotOnCurve("x must lie on the cut curve")
     xlift = found[1]

@@ -29,7 +29,7 @@ from .fine_graph import (
     classify_clique3,
     is_edge,
 )
-from .geom_core import pt
+from .geom_core import mat_apply, pt, vadd
 from .surfaces import TorusCurve, torus_curve_simple, torus_rep
 
 PRIMITIVE_CLASSES = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
@@ -101,12 +101,7 @@ def _rand_sl2(rng: random.Random, steps: int = 3):
 
 
 def _apply_affine(curve: TorusCurve, m, v) -> TorusCurve:
-    out = [
-        (m[0][0] * p[0] + m[0][1] * p[1] + v[0],
-         m[1][0] * p[0] + m[1][1] * p[1] + v[1])
-        for p in curve.period_path()
-    ]
-    return TorusCurve(out)
+    return TorusCurve([vadd(mat_apply(m, p), v) for p in curve.period_path()])
 
 
 def _standard_necklace():

@@ -41,6 +41,11 @@ def cross(u: RatPoint, v: RatPoint) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
 
 
+def mat_apply(m, p: RatPoint) -> RatPoint:
+    """The 2x2 matrix m times p."""
+    return (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
+
+
 def norm2(u: RatPoint) -> Fraction:
     return u[0] * u[0] + u[1] * u[1]
 

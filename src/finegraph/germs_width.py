@@ -27,13 +27,14 @@ from .geom_core import (
     Segment,
     bbox_candidate_pairs,
     cross,
+    mat_apply,
     path_segments,
     polyline_self_intersects,
     segment_intersection,
     shift_segment,
     vadd,
 )
-from .arc_graphs import _apply_mat, _map_curve, _normalizer
+from .arc_graphs import _map_curve, _normalizer
 from .curves_ops import _point_seg_dist2
 from .routing import SegmentSet
 from .surfaces import (
@@ -488,7 +489,7 @@ class GermSpec:
         if len(generator) < 2:
             raise ValueError("generator needs at least two points")
         m = _contraction(lam, rot)
-        if _apply_mat(m, generator[0]) != generator[-1]:
+        if mat_apply(m, generator[0]) != generator[-1]:
             raise ValueError("generator does not chain: M start != end")
         if any(p == (0, 0) for p in generator):
             raise ValueError("generator must avoid the origin")
@@ -502,7 +503,7 @@ class GermSpec:
 
     def copy_path(self, i: int) -> list[RatPoint]:
         m = _mat_pow(self.matrix(), i)
-        return [_apply_mat(m, p) for p in self.generator]
+        return [mat_apply(m, p) for p in self.generator]
 
     def to_json(self):
         def pts(path):
@@ -517,6 +518,8 @@ class GermSpec:
 
     @staticmethod
     def from_json(data) -> "GermSpec":
+        if not isinstance(data["rot"], list) or len(data["rot"]) != 2:
+            raise ValueError("rot must be a list of two entries")
         return GermSpec(
             prefix=[(Fraction(x), Fraction(y)) for x, y in data["prefix"]],
             generator=[(Fraction(x), Fraction(y)) for x, y in data["generator"]],

@@ -5,12 +5,18 @@ preserve edge tags, three-clique types, and crossing points exactly.  Three
 map kinds are supported: integral linear maps with determinant +-1, rational
 translations, and piecewise-linear maps given by vertex images on a
 triangulation of the fundamental square.  All arithmetic is exact.
+
+``pl_map`` computes a PL map's data once: its triangulation edges, each once
+modulo Z^2, and each triangle's affine map.  ``apply`` cuts a lift at its
+crossings with the translates of those edges, found through the float
+prefilter ``bbox_candidate_pairs`` and decided exactly, and maps every point
+by the affine map of the triangle that holds it modulo Z^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -19,8 +25,12 @@ from .geom_core import (
     Empty,
     RatPoint,
     Segment,
+    bbox_candidate_pairs,
     cross,
+    mat_apply,
+    path_segments,
     segment_intersection,
+    shift_segment,
     smul,
     vadd,
     vsub,
@@ -33,7 +43,7 @@ from .fine_graph import (
     clique3_of_tags,
     is_edge,
 )
-from .surfaces import TorusCurve, torus_rep
+from .surfaces import TorusCurve, torus_rep, translate_range
 
 LINEAR = "linear"
 TRANSLATION = "translation"
@@ -50,11 +60,15 @@ class Triangulation:
 
     Vertices on opposite sides of the square must come in partner pairs
     whose images differ by the same deck translation, so the map descends
-    to the torus with identity action on homology."""
+    to the torus with identity action on homology.  ``edges`` holds each
+    triangulation edge once modulo Z^2 and orientation, as a ``Segment`` in
+    the square; ``affine`` holds each triangle's map x -> Mx + k as (M, k)."""
 
     vertices: tuple
     images: tuple
     triangles: tuple
+    edges: tuple = field(compare=False, repr=False)
+    affine: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,14 +108,11 @@ def _tri_area2(a, b, c) -> Fraction:
 
 
 def _point_in_tri(p, a, b, c, strict=False):
-    s1, s2, s3 = (
-        _tri_area2(a, b, p),
-        _tri_area2(b, c, p),
-        _tri_area2(c, a, p),
-    )
-    if strict:
-        return s1 > 0 and s2 > 0 and s3 > 0
-    return s1 >= 0 and s2 >= 0 and s3 >= 0
+    for u, v in ((a, b), (b, c), (c, a)):
+        s = _tri_area2(u, v, p)
+        if s < 0 or (strict and s == 0):
+            return False
+    return True
 
 
 def _tris_overlap(t1, t2) -> bool:
@@ -123,6 +134,16 @@ def _tris_overlap(t1, t2) -> bool:
     # identical triangles have no strict vertex containment or proper edge
     # crossings, but they certainly overlap
     return sorted(t1) == sorted(t2)
+
+
+def _tri_affine(src, img):
+    """(M, k) such that x -> Mx + k sends the triangle src onto img."""
+    (a, b, c), (ia, ib, ic) = src, img
+    u, w, iu, iw = vsub(b, a), vsub(c, a), vsub(ib, ia), vsub(ic, ia)
+    det = cross(u, w)
+    m = tuple(((iu[r] * w[1] - iw[r] * u[1]) / det, (iw[r] * u[0] - iu[r] * w[0]) / det)
+              for r in (0, 1))
+    return m, vsub(ia, mat_apply(m, a))
 
 
 def pl_map(vertices, images, triangles) -> TorusMap:
@@ -166,70 +187,51 @@ def pl_map(vertices, images, triangles) -> TorusMap:
             raise InvalidMap("image triangles overlap")
     if sum(_tri_area2(*t) for t in img) != 2:
         raise InvalidMap("image triangles do not tile a fundamental domain")
-    return TorusMap(kind=PL, tri=Triangulation(vertices, images, triangles))
-
-
-def _pl_point(f: TorusMap, p: RatPoint) -> RatPoint:
-    base = torus_rep(p)
-    deck = vsub(p, base)
-    tri = f.tri
-    for t in tri.triangles:
-        a, b, c = (tri.vertices[i] for i in t)
-        if _point_in_tri(base, a, b, c):
-            den = _tri_area2(a, b, c)
-            wa = _tri_area2(base, b, c) / den
-            wb = _tri_area2(a, base, c) / den
-            wc = 1 - wa - wb
-            ia, ib, ic = (tri.images[i] for i in t)
-            out = (
-                wa * ia[0] + wb * ib[0] + wc * ic[0],
-                wa * ia[1] + wb * ib[1] + wc * ic[1],
-            )
-            return vadd(out, deck)
-    raise InvalidMap("point escapes the triangulation")
+    edges = {}
+    for t in triangles:
+        for i in range(3):
+            a, b = sorted((vertices[t[i - 1]], vertices[t[i]]))
+            s = (math.floor(a[0]), math.floor(a[1]))
+            edges.setdefault((vsub(a, s), vsub(b, s)), Segment(a, b))
+    affine = tuple(_tri_affine(s, t) for s, t in zip(src, img))
+    return TorusMap(kind=PL, tri=Triangulation(
+        vertices, images, triangles, tuple(edges.values()), affine))
 
 
 def map_point(f: TorusMap, p: RatPoint) -> RatPoint:
     p = (Fraction(p[0]), Fraction(p[1]))
     if f.kind == LINEAR:
-        m = f.matrix
-        return (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
+        return mat_apply(f.matrix, p)
     if f.kind == TRANSLATION:
         return vadd(p, f.shift)
-    return _pl_point(f, p)
+    base = torus_rep(p)
+    tri = f.tri
+    for t, (m, k) in zip(tri.triangles, tri.affine):
+        if _point_in_tri(base, *(tri.vertices[i] for i in t)):
+            return vadd(vadd(mat_apply(m, base), k), vsub(p, base))
+    raise InvalidMap("point escapes the triangulation")
 
 
 def _grid_refine(path: Sequence[RatPoint], f: TorusMap) -> list[RatPoint]:
     """Subdivide a lifted path at every crossing with a triangulation edge
     (all integer translates), so each piece maps by one affine map."""
-    lines = set()
-    tri = f.tri
-    for t in tri.triangles:
-        for i in range(3):
-            a = tri.vertices[t[i]]
-            b = tri.vertices[t[(i + 1) % 3]]
-            lines.add((a, b))
+    segs = path_segments(path)
+    shifts = translate_range(path, ((0, 0), (1, 1)))
+    cuts = [set() for _ in segs]
+    for v, i, j in bbox_candidate_pairs(segs, f.tri.edges, shifts):
+        p, q = segs[i].p, segs[i].q
+        e = shift_segment(f.tri.edges[j], v)
+        d = cross(vsub(q, p), vsub(e.q, e.p))
+        if d == 0:
+            continue
+        t1 = cross(vsub(e.p, p), vsub(e.q, e.p)) / d
+        t2 = cross(vsub(e.p, p), vsub(q, p)) / d
+        if 0 < t1 < 1 and 0 <= t2 <= 1:
+            cuts[i].add(t1)
     out = []
-    for i in range(len(path) - 1):
-        p, q = path[i], path[i + 1]
-        cuts = {Fraction(0)}
-        lo = min(p[0], q[0]), min(p[1], q[1])
-        hi = max(p[0], q[0]), max(p[1], q[1])
-        for a, b in lines:
-            for kx in range(math.floor(lo[0] - 1), math.ceil(hi[0] + 1)):
-                for ky in range(math.floor(lo[1] - 1), math.ceil(hi[1] + 1)):
-                    aa = (a[0] + kx, a[1] + ky)
-                    bb = (b[0] + kx, b[1] + ky)
-                    d = cross(vsub(q, p), vsub(bb, aa))
-                    if d == 0:
-                        continue
-                    t1 = cross(vsub(aa, p), vsub(bb, aa)) / d
-                    t2 = cross(vsub(aa, p), vsub(q, p)) / d
-                    if 0 < t1 < 1 and 0 <= t2 <= 1:
-                        cuts.add(t1)
-        out.append(p)
-        for t1 in sorted(cuts - {Fraction(0)}):
-            out.append(vadd(p, smul(t1, vsub(q, p))))
+    for s, ts in zip(segs, cuts):
+        out.append(s.p)
+        out.extend(vadd(s.p, smul(t1, vsub(s.q, s.p))) for t1 in sorted(ts))
     out.append(path[-1])
     return out
 

@@ -139,15 +139,20 @@ def test_width_rejects_without_traceback(tmp_path, capsys, fix, want):
 @pytest.mark.parametrize(
     "fix",
     [
-        # a germ rotation with one entry
+        # a germ rotation with one entry, given as a string, with three
+        # entries or with none
         {"a": dict(RAY_GERM, rot=["1"]), "b": RAY_GERM},
+        {"a": dict(RAY_GERM, rot="10"), "b": RAY_GERM},
+        {"a": dict(RAY_GERM, rot=["1", "0", "7"]), "b": RAY_GERM},
+        {"a": dict(RAY_GERM, rot=[]), "b": RAY_GERM},
         # a contraction factor with a zero denominator
         {"a": dict(RAY_GERM, **{"lambda": "1/0"}), "b": RAY_GERM},
         # an annulus lift repeating a point
         {"a": cannulus([(F(1, 4), 0), (F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 4), 1)]),
          "b": cannulus([(F(3, 4), 0), (F(3, 4), 1)])},
     ],
-    ids=["short_rot", "lambda_over_zero", "repeated_point"],
+    ids=["short_rot", "string_rot", "long_rot", "empty_rot", "lambda_over_zero",
+         "repeated_point"],
 )
 def test_width_malformed_operand_exits_2(tmp_path, capsys, fix):
     f = tmp_path / "input.json"

@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from finegraph import homeo_action
 from finegraph.fine_graph import TransverseEdge, is_edge
 from finegraph.generators import REALIZABLE_TYPES, rand_clique3, rand_vertex
-from finegraph.geom_core import pt
+from finegraph.geom_core import cross, mat_apply, pt, smul, vadd, vsub
 from finegraph.homeo_action import (
     InvalidMap,
     apply,
@@ -219,6 +221,150 @@ def test_face_count_commutes_with_affine_maps():
             seen.add(n)
             assert len(complement_components([_apply(f, c) for c in family])) == n
     assert len(seen) >= 5
+
+
+# ------------------------------------------- PL maps against brute force
+
+
+def _oracle_refine(path, f):
+    """Brute-force refinement: every directed triangle edge against every
+    integer translate of each segment's box, in Fraction arithmetic."""
+    lines = set()
+    tri = f.tri
+    for t in tri.triangles:
+        for i in range(3):
+            lines.add((tri.vertices[t[i]], tri.vertices[t[(i + 1) % 3]]))
+    out = []
+    for i in range(len(path) - 1):
+        p, q = path[i], path[i + 1]
+        cuts = {F(0)}
+        lo = min(p[0], q[0]), min(p[1], q[1])
+        hi = max(p[0], q[0]), max(p[1], q[1])
+        for a, b in lines:
+            for kx in range(math.floor(lo[0] - 1), math.ceil(hi[0] + 1)):
+                for ky in range(math.floor(lo[1] - 1), math.ceil(hi[1] + 1)):
+                    aa = (a[0] + kx, a[1] + ky)
+                    bb = (b[0] + kx, b[1] + ky)
+                    d = cross(vsub(q, p), vsub(bb, aa))
+                    if d == 0:
+                        continue
+                    t1 = cross(vsub(aa, p), vsub(bb, aa)) / d
+                    t2 = cross(vsub(aa, p), vsub(q, p)) / d
+                    if 0 < t1 < 1 and 0 <= t2 <= 1:
+                        cuts.add(t1)
+        out.append(p)
+        for t1 in sorted(cuts - {F(0)}):
+            out.append(vadd(p, smul(t1, vsub(q, p))))
+    out.append(path[-1])
+    return out
+
+
+def _oracle_point(f, p):
+    """Barycentric weights in the first closed triangle holding p mod Z^2."""
+    def area2(a, b, c):
+        return cross(vsub(b, a), vsub(c, a))
+
+    base = torus_rep(p)
+    tri = f.tri
+    for t in tri.triangles:
+        a, b, c = (tri.vertices[i] for i in t)
+        if min(area2(a, b, base), area2(b, c, base), area2(c, a, base)) >= 0:
+            den = area2(a, b, c)
+            wa, wb = area2(base, b, c) / den, area2(a, base, c) / den
+            ia, ib, ic = (tri.images[i] for i in t)
+            out = tuple(wa * ia[r] + wb * ib[r] + (1 - wa - wb) * ic[r] for r in (0, 1))
+            return vadd(out, vsub(p, base))
+    raise AssertionError("point escapes the triangulation")
+
+
+def rand_grid_pl(rng, g):
+    """Identity on the boundary of a g x g grid, interior vertices jittered
+    by under a quarter of the spacing, each square cut along a random
+    diagonal."""
+    coords = [F(i, g) for i in range(g + 1)]
+    verts = [(x, y) for y in coords for x in coords]
+    idx = {v: i for i, v in enumerate(verts)}
+    tris = []
+    for i in range(g):
+        for j in range(g):
+            a, b = idx[(coords[i], coords[j])], idx[(coords[i + 1], coords[j])]
+            c, d = idx[(coords[i + 1], coords[j + 1])], idx[(coords[i], coords[j + 1])]
+            tris.extend([(a, b, c), (a, c, d)] if rng.random() < 0.5 else [(a, b, d), (b, c, d)])
+    while True:
+        imgs = list(verts)
+        for vy in coords[1:-1]:
+            for vx in coords[1:-1]:
+                jx, jy = (F(rng.randrange(-15, 16), 64 * g) for _ in range(2))
+                imgs[idx[(vx, vy)]] = (vx + jx, vy + jy)
+        try:
+            return pl_map(verts, imgs, tris)
+        except InvalidMap:
+            continue
+
+
+def _pl_curves(rng, g):
+    def r():
+        return F(rng.randrange(1, 97), 97)
+
+    v = (F(rng.randrange(1, g), g), F(rng.randrange(1, g), g))
+    n = (r() - 3, r() - 2)
+    return [
+        # through triangulation vertices
+        TorusCurve([v, (v[0] + 1, v[1] + 1)]),
+        TorusCurve([v, (v[0] + r() / 8, v[1] + F(1, 2)), (v[0], v[1] + 1)]),
+        # along a horizontal grid line and along the diagonals
+        geodesic(1, 0, 0, F(rng.randrange(g), g)),
+        geodesic(1, 1, 0, 0),
+        geodesic(1, -1, 0, 1),
+        # homology (3,1) and (1,-2)
+        geodesic(3, 1, r(), r()),
+        geodesic(1, -2, r(), r()),
+        # starting at negative coordinates
+        geodesic(2, 1, *n),
+        TorusCurve([n, (n[0] + F(1, 2), n[1] + r() / 8), (n[0] + 1, n[1])]),
+    ]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_pl_refine_and_apply_match_brute_force(g):
+    rng = random.Random(40 + g)
+    for _ in range(2):
+        f = rand_grid_pl(rng, g)
+        for c in _pl_curves(rng, g):
+            path = c.period_path()
+            refined = _oracle_refine(path, f)
+            assert homeo_action._grid_refine(path, f) == refined
+            assert apply(f, c) == TorusCurve([_oracle_point(f, p) for p in refined])
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_pl_maps_respect_deck_translations_and_glue(g):
+    rng = random.Random(50 + g)
+    f = rand_grid_pl(rng, g)
+    for c in _pl_curves(rng, g):
+        v = (rng.randrange(-3, 4), rng.randrange(-3, 4))
+        assert apply(f, c.translate(v)) == apply(f, c).translate(v)
+    tri = f.tri
+    for (x, y), (ix, iy) in zip(tri.vertices, tri.images):
+        for v in ((0, 0), (1, -2), (-3, 1)):
+            assert map_point(f, (x + v[0], y + v[1])) == (ix + v[0], iy + v[1])
+    # adjacent triangles' stored maps agree on their shared edge, also
+    # across the sides of the square up to the deck shift
+    edges = []
+    for t, (m, k) in zip(tri.triangles, tri.affine):
+        for i in range(3):
+            a, b = sorted((tri.vertices[t[i - 1]], tri.vertices[t[i]]))
+            edges.append((a, b, m, k))
+    shared = 0
+    for (a, b, m, k), (a2, b2, m2, k2) in combinations(edges, 2):
+        s = vsub(a, a2)
+        if vsub(b, b2) != s or s[0].denominator != 1 or s[1].denominator != 1:
+            continue
+        shared += 1
+        for lam in (F(0), F(1, 3), F(1, 2), F(1)):
+            x = vadd(a, smul(lam, vsub(b, a)))
+            assert vadd(mat_apply(m, x), k) == vadd(vadd(mat_apply(m2, vsub(x, s)), k2), s)
+    assert shared == 3 * g * g
 
 
 # ----------------------------------------------------------- functoriality
