@@ -771,7 +771,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
             best = p
             eps *= 2
         return best
-    def attempt(gi, gj, n, max_n):
+    def attempt(gi, gj):
         d1, d2 = gaps[gi], gaps[gj]
         if d1 == (0, 0) or d2 == (0, 0):
             return None
@@ -785,7 +785,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
         obs = SegmentSet(
             obstacles.segs + path_segments(germ), wrap_x=True, wrap_y=True
         )
-        r = torus_route(obs, p2, p1, n=n, max_n=max_n)
+        r = torus_route(obs, p2, p1)
         if r is None:
             return None
         try:
@@ -805,7 +805,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
         for gj in range(m):
             if gi == gj:
                 continue
-            delta = attempt(gi, gj, 16, 64)
+            delta = attempt(gi, gj)
             if delta is not None:
                 return delta
     # grid routing cannot cross channels narrower than its finest step, so

@@ -6,9 +6,10 @@ are serialized as "p/q" strings.  Exit codes: 0 success, 1 suite or
 certificate violation, 2 parse error, 3 input curve not a vertex, 4
 infinite width when an explicit path was requested, 5 width operands the
 width computation cannot handle (no common cut class, a non-generic
-contact, or no channel for an explicit path).  Same command, seed and
-inputs always produce byte-identical output.  SVG files are advisory
-renderings for human inspection; nothing downstream depends on them.
+contact, no channel for an explicit path, or germs with different
+contractions).  Same command, seed and inputs always produce byte-identical
+output.  SVG files are advisory renderings for human inspection; nothing
+downstream depends on them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .fine_graph import (
 )
 from .generators import REALIZABLE_TYPES, rand_chain_triple, rand_clique3, rand_vertex
 from .germs_width import (
+    ContractionMismatch,
     DegenerateBigon,
     GermSpec,
     InfiniteWidth,
@@ -247,7 +249,7 @@ def cmd_classify(args) -> int:
 def cmd_width(args) -> int:
     try:
         return _width(args)
-    except (NonGeneric, DegenerateBigon) as exc:
+    except (NonGeneric, DegenerateBigon, ContractionMismatch) as exc:
         sys.stderr.write(f"width not computable: {exc}\n")
         return EXIT_DEGENERATE
 
@@ -301,7 +303,7 @@ def cmd_verify_chain(args) -> int:
     data = _load_json(args.input)
     try:
         cert = ChainCertificate.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseFailure(f"bad certificate: {exc}")
     violations = verify_chain(cert)
     _emit({"schema": SCHEMA, "accepted": not violations, "violations": violations})

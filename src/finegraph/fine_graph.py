@@ -182,14 +182,13 @@ def clique3_of_tags(*tags) -> Clique3Report:
 # ----------------------------------------------------------- necklace arcs
 
 
-def _param_of_point(curve: TorusCurve, other: TorusCurve, point: RatPoint):
-    """Param of a pairwise intersection point along curve (torus point)."""
-    tr = _CurveTrace(curve, 0)
+def _param_of_point(tr: _CurveTrace, curve: TorusCurve, other: TorusCurve, point: RatPoint) -> Fraction:
+    """Param in [0, n) along curve (traced by tr) of a torus point where
+    curve meets other."""
     for si, sj, v, res in torus_pair_hits(curve, other):
         if hasattr(res, "point") and torus_rep(res.point) == point:
-            p = tr.param_of(si, res.point)
-            return p if p != tr.n else Fraction(0)
-    raise RuntimeError("point not found on curve")
+            return tr.param_of(si, res.point) % tr.n
+    raise RuntimeError("point not on both curves")
 
 
 def necklace_arcs(a: TorusCurve, b: TorusCurve, c: TorusCurve) -> NecklaceArcs:
@@ -200,19 +199,16 @@ def necklace_arcs(a: TorusCurve, b: TorusCurve, c: TorusCurve) -> NecklaceArcs:
     p_ab, p_ac, p_bc = (torus_rep(t.point) for t in tags)
     pts = tuple(sorted([p_ab, p_ac, p_bc]))
 
-    def split(curve, q1, q2):
+    def split(curve, other1, q1, other2, q2):
         tr = _CurveTrace(curve, 0)
-        t1 = _param_of_point(curve, _other, q1)
-        t2 = _param_of_point(curve, _other2, q2)
+        t1 = _param_of_point(tr, curve, other1, q1)
+        t2 = _param_of_point(tr, curve, other2, q2)
         return tr.sub_path(t1, t2), tr.sub_path(t2, t1)
 
     arcs = {}
-    _other, _other2 = b, c
-    arcs["x"], arcs["X"] = split(a, p_ab, p_ac)
-    _other, _other2 = a, c
-    arcs["y"], arcs["Y"] = split(b, p_ab, p_bc)
-    _other, _other2 = a, b
-    arcs["z"], arcs["Z"] = split(c, p_ac, p_bc)
+    arcs["x"], arcs["X"] = split(a, b, p_ab, c, p_ac)
+    arcs["y"], arcs["Y"] = split(b, a, p_ab, c, p_bc)
+    arcs["z"], arcs["Z"] = split(c, a, p_ac, b, p_bc)
     return NecklaceArcs(points=pts, arcs=arcs)
 
 
@@ -448,13 +444,6 @@ def faces_met(
 # ---------------------------------------------------------- far witnesses
 
 
-def _param_of_torus_point(tr: _CurveTrace, curve: TorusCurve, other: TorusCurve, point: RatPoint) -> Fraction:
-    for si, sj, v, res in torus_pair_hits(curve, other):
-        if hasattr(res, "point") and torus_rep(res.point) == point:
-            return tr.param_of(si, res.point) % tr.n
-    raise RuntimeError("point not on both curves")
-
-
 def _segset(seg_lists) -> SegmentSet:
     segs = []
     for part in seg_lists:
@@ -497,23 +486,23 @@ def far_witness(a: TorusCurve, b: TorusCurve, c: TorusCurve):
 
     ta = _CurveTrace(a, 0)
     tb = _CurveTrace(b, 1)
-    pa = _param_of_torus_point(ta, a, b, x)
-    pb = _param_of_torus_point(tb, b, a, x)
+    pa = _param_of_point(ta, a, b, x)
+    pb = _param_of_point(tb, b, a, x)
     n_c = len(c.segments())
 
+    # the first 12 gate pairs (i1, i2) in row-major order; two gates on
+    # one segment of c sit at different fractions
+    cands = [divmod(k, n_c) for k in range(min(12, n_c * n_c))]
     delta = Fraction(1, 8)
-    for shrink in range(12):
+    for _ in range(12):
         germ_a = ta.sub_path((pa - delta) % ta.n, (pa + delta) % ta.n)
         germ_b = tb.sub_path((pb - delta) % tb.n, (pb + delta) % tb.n)
-        cands = []
-        for i1 in range(n_c):
-            for i2 in range(n_c):
-                cands.append((i1, Fraction(1, 2), i2, Fraction(1, 3) if i1 == i2 else Fraction(1, 2)))
         built = None
-        for i1, f1, i2, f2 in cands[:12]:
+        for i1, i2 in cands:
+            f2 = Fraction(1, 3) if i1 == i2 else Fraction(1, 2)
             gt = Fraction(1, 16)
             res = _build_germ_loop(
-                germ_a, c, i1, f1, gt, extra=[germ_b]
+                germ_a, c, i1, Fraction(1, 2), gt, extra=[germ_b]
             )
             if res is None:
                 continue
@@ -564,12 +553,12 @@ def _build_germ_loop(germ, c, seg_index, frac, gate_t, extra=()):
             gate_t /= 2
             continue
         obs1 = _segset([c, germ, *extra, [e1, e2]])
-        r1 = torus_route(obs1, s1, e1, n=16, max_n=64)
+        r1 = torus_route(obs1, s1, e1)
         if r1 is None:
             gate_t /= 2
             continue
         obs2 = _segset([c, germ, *extra, r1, [e1, e2]])
-        r2 = torus_route(obs2, e2, s0, n=16, max_n=64)
+        r2 = torus_route(obs2, e2, s0)
         if r2 is None:
             gate_t /= 2
             continue
@@ -718,7 +707,7 @@ def _routed_loop(
                 src = gates[gi][2]
                 dst = gates[(gi + 1) % len(gates)][0]
                 obs = _segset([*curves, *built_paths, *parts])
-                r = torus_route(obs, src, dst, n=16, max_n=64)
+                r = torus_route(obs, src, dst)
                 if r is None:
                     ok = False
                     break
@@ -820,11 +809,11 @@ def _try_finger(d, tr, met, curves, locator, alpha, others, si, fc, w, gate_t,
         keep = tr.sub_path(hi % tr.n, lo % tr.n)
         fixed = route_segs + path_segments(keep) + path_segments(gate_path)
         base = SegmentSet(fixed, wrap_x=True, wrap_y=True)
-        r1 = torus_route(base, u, e1, n=16, max_n=64)
+        r1 = torus_route(base, u, e1)
         if r1 is None:
             continue
         base2 = SegmentSet(fixed + path_segments(r1), wrap_x=True, wrap_y=True)
-        r2 = torus_route(base2, e2, v, n=16, max_n=64)
+        r2 = torus_route(base2, e2, v)
         if r2 is None:
             continue
         loop = _close_loop([keep, r1, gate_path, r2])

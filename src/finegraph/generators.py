@@ -29,7 +29,7 @@ from .fine_graph import (
     classify_clique3,
     is_edge,
 )
-from .geom_core import mat_apply, pt, vadd
+from .geom_core import mat_apply, mat_mul, pt, vadd
 from .surfaces import TorusCurve, torus_curve_simple, torus_rep
 
 PRIMITIVE_CLASSES = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
@@ -82,21 +82,14 @@ def rand_vertex(
 
 
 def _rand_sl2(rng: random.Random, steps: int = 3):
-    m = [[1, 0], [0, 1]]
-
-    def mul(a, b):
-        return [
-            [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-        ]
-
-    s = [[0, -1], [1, 0]]
+    m = ((1, 0), (0, 1))
+    s = ((0, -1), (1, 0))
     for _ in range(steps):
         if rng.random() < 0.5:
-            m = mul(m, s)
+            m = mat_mul(m, s)
         else:
             k = rng.randrange(-2, 3)
-            m = mul(m, [[1, k], [0, 1]])
+            m = mat_mul(m, ((1, k), (0, 1)))
     return m
 
 

@@ -46,6 +46,14 @@ def mat_apply(m, p: RatPoint) -> RatPoint:
     return (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
 
 
+def mat_mul(a, b):
+    """The 2x2 matrix product a b, as nested tuples."""
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
 def norm2(u: RatPoint) -> Fraction:
     return u[0] * u[0] + u[1] * u[1]
 

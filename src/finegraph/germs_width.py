@@ -28,6 +28,7 @@ from .geom_core import (
     bbox_candidate_pairs,
     cross,
     mat_apply,
+    mat_mul,
     path_segments,
     polyline_self_intersects,
     segment_intersection,
@@ -36,7 +37,7 @@ from .geom_core import (
 )
 from .arc_graphs import _map_curve, _normalizer
 from .curves_ops import _point_seg_dist2
-from .routing import SegmentSet
+from .routing import SegmentSet, grid_node, grid_route, shortcut
 from .surfaces import (
     INFINITE,
     AnnulusArc,
@@ -200,8 +201,6 @@ def _inside_strip(p: RatPoint, wall: Sequence[RatPoint]) -> bool:
 def _thread_strip(
     wall: Sequence[RatPoint],
     obstacles: Sequence[Sequence[RatPoint]],
-    n: int = 16,
-    max_n: int = 64,
     waypoint: Optional[RatPoint] = None,
 ) -> Optional[list[RatPoint]]:
     """A PL arc from y=0 to y=1 strictly inside the strip between the wall
@@ -210,16 +209,15 @@ def _thread_strip(
     blockers = SegmentSet(
         [s for path in (wall, right, *obstacles) for s in path_segments(path)]
     )
-    while n <= max_n:
+    for n in (16, 32, 64):
         # salts shift the grid off any wall vertices left by earlier
         # threading rounds at the same resolution
         for salt in (5, 7, 11, 13):
             got = _thread_grid(wall, blockers, n, waypoint, salt)
             if got is not None:
-                got = _slim(got, blockers)
+                got = shortcut(got, blockers.hits)
                 if _path_simple(got):
                     return got
-        n *= 2
     return None
 
 
@@ -228,43 +226,18 @@ def _path_simple(path: list[RatPoint]) -> bool:
     return not polyline_self_intersects(pts)
 
 
-def _slim(path: list[RatPoint], blockers: SegmentSet) -> list[RatPoint]:
-    """Greedy straightening: drop interior vertices whose bridging segment
-    stays clear of walls and obstacles."""
-    out = list(path)
-    changed = True
-    while changed:
-        changed = False
-        i = 1
-        while i < len(out) - 1:
-            if not blockers.hits(Segment(out[i - 1], out[i + 1])):
-                del out[i]
-                changed = True
-            else:
-                i += 1
-    return out
-
-
 def _thread_grid(wall, blockers, n, waypoint, salt):
+    """One grid round of ``_thread_strip``: stub, route, stub.
+
+    The walls are obstacles, so the grid router never leaves the strip once
+    it starts inside; a start or goal is a node with a clear stub to the
+    boundary window between the wall's end and its translate."""
     xs = [p[0] for p in wall]
     x_lo = math.floor(min(xs)) - 1
-    x_hi = math.ceil(max(xs)) + 2
-    cols = (x_hi - x_lo) * n + 1
+    cols = (math.ceil(max(xs)) + 2 - x_lo) * n + 1
 
     def node(i, j):
-        return (
-            x_lo + Fraction(i, n) + Fraction(1, (salt - 2) * n),
-            Fraction(j, n) + Fraction(1, salt * n),
-        )
-
-    free = {}
-
-    def ok(i, j):
-        if not (0 <= i < cols and 0 <= j < n):
-            return False
-        if (i, j) not in free:
-            free[(i, j)] = _inside_strip(node(i, j), wall)
-        return free[(i, j)]
+        return grid_node(i, j, n, salt, x_lo)
 
     # entry stubs connect to the boundary circles; an obstacle endpoint on
     # a circle can pinch the window off the grid, so slanted stubs aiming
@@ -273,86 +246,47 @@ def _thread_grid(wall, blockers, n, waypoint, salt):
     # directly above it, so stubs may reach a few rows into the grid
     mids0 = _boundary_mids(blockers, Fraction(0))
     mids1 = _boundary_mids(blockers, Fraction(1))
+    foot = {p[1]: p[0] for p in (wall[0], wall[-1])}
     starts = []
-    goals = {}
+    goals = set()
     stub = {}
     depth = min(4, n - 1)
     for i in range(cols):
         for d in range(depth):
-            if ok(i, d):
-                p = node(i, d)
-                x = _stub_x(p, Fraction(0), mids0, blockers, n, d)
-                if x is not None:
-                    starts.append((i, d))
-                    stub[(i, d)] = x
-            if ok(i, n - 1 - d):
-                p = node(i, n - 1 - d)
-                x = _stub_x(p, Fraction(1), mids1, blockers, n, d)
-                if x is not None:
-                    goals[(i, n - 1 - d)] = True
-                    stub[(i, n - 1 - d)] = x
+            x = _stub_x(node(i, d), Fraction(0), foot[0], mids0, blockers, n, d)
+            if x is not None:
+                starts.append((i, d))
+                stub[(i, d)] = x
+            x = _stub_x(node(i, n - 1 - d), Fraction(1), foot[1], mids1, blockers, n, d)
+            if x is not None:
+                goals.add((i, n - 1 - d))
+                stub[(i, n - 1 - d)] = x
     if not starts or not goals:
-        return None
-
-    def bfs(srcs, targets):
-        prev = {s: None for s in srcs}
-        queue = list(srcs)
-
-        def step(src, nxt):
-            if not ok(*nxt):
-                return False
-            if nxt in prev:
-                return True
-            if blockers.hits(Segment(node(*src), node(*nxt))):
-                return False
-            prev[nxt] = src
-            queue.append(nxt)
-            return True
-
-        while queue:
-            cur = queue.pop(0)
-            if cur in targets:
-                out = []
-                while cur is not None:
-                    out.append(cur)
-                    cur = prev[cur]
-                return list(reversed(out))
-            ci, cj = cur
-            step(cur, (ci + 1, cj))
-            step(cur, (ci - 1, cj))
-            for dj in (1, -1):
-                if step(cur, (ci, cj + dj)):
-                    continue
-                # a thin corridor between two slanted blockers can shift by
-                # several columns per row; hop along it when straight up or
-                # down is blocked
-                for d in range(1, 9):
-                    if step(cur, (ci + d, cj + dj)) or step(cur, (ci - d, cj + dj)):
-                        break
         return None
 
     if waypoint is not None:
         wi = round((waypoint[0] - x_lo) * n)
         wj = round(waypoint[1] * n)
-        mid = None
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                if ok(wi + di, wj + dj):
-                    mid = (wi + di, wj + dj)
-                    break
-            if mid:
-                break
+        mid = next(
+            (
+                (i, j)
+                for i in range(wi - 2, wi + 3)
+                for j in range(wj - 2, wj + 3)
+                if 0 <= i < cols and 0 <= j < n and _inside_strip(node(i, j), wall)
+            ),
+            None,
+        )
         if mid is None:
             return None
-        first = bfs(starts, {mid: True})
+        first = grid_route(blockers, n, starts, {mid}, salt, x_lo)
         if first is None:
             return None
-        second = bfs([mid], goals)
+        second = grid_route(blockers, n, [mid], goals, salt, x_lo)
         if second is None or set(first[:-1]) & set(second[1:]):
             return None
         cells = first + second[1:]
     else:
-        cells = bfs(starts, goals)
+        cells = grid_route(blockers, n, starts, goals, salt, x_lo)
         if cells is None:
             return None
     pts = [node(*c) for c in cells]
@@ -374,11 +308,13 @@ def _boundary_mids(blockers: SegmentSet, y):
     return [(u + v) / 2 for u, v in zip(xs, xs[1:])]
 
 
-def _stub_x(p, y, mids, blockers, n, depth=0):
+def _stub_x(p, y, lo, mids, blockers, n, depth):
+    """The foot on the line y of a clear stub from p, inside the window
+    lo < x < lo + 1: straight across, or aimed at a blocker gap in reach."""
     reach = Fraction(8 * (depth + 1), n)
     cands = [p[0]] + [m for m in mids if abs(m - p[0]) <= reach]
     for x in cands:
-        if not blockers.hits(Segment(p, (x, y))):
+        if lo < x < lo + 1 and not blockers.hits(Segment(p, (x, y))):
             return x
     return None
 
@@ -550,16 +486,7 @@ def _mat_pow(m, k: int):
         )
         k = -k
     for _ in range(k):
-        out = (
-            (
-                out[0][0] * base[0][0] + out[0][1] * base[1][0],
-                out[0][0] * base[0][1] + out[0][1] * base[1][1],
-            ),
-            (
-                out[1][0] * base[0][0] + out[1][1] * base[1][0],
-                out[1][0] * base[0][1] + out[1][1] * base[1][1],
-            ),
-        )
+        out = mat_mul(out, base)
     return out
 
 

@@ -28,6 +28,7 @@ from .geom_core import (
     bbox_candidate_pairs,
     cross,
     mat_apply,
+    mat_mul,
     path_segments,
     segment_intersection,
     shift_segment,
@@ -297,15 +298,7 @@ def check_automorphism(f: TorusMap, universe: Sequence[TorusCurve]) -> list:
 def compose(f: TorusMap, g: TorusMap) -> TorusMap:
     """f after g, for the affine kinds."""
     if f.kind == LINEAR and g.kind == LINEAR:
-        a, b = f.matrix, g.matrix
-        return linear_map(
-            (
-                (a[0][0] * b[0][0] + a[0][1] * b[1][0],
-                 a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-                (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-                 a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-            )
-        )
+        return linear_map(mat_mul(f.matrix, g.matrix))
     if f.kind == TRANSLATION and g.kind == TRANSLATION:
         return translation_map(vadd(f.shift, g.shift))
     raise InvalidMap("composition is only closed for matching affine kinds")

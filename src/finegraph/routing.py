@@ -6,12 +6,18 @@ orientation filters settle clear-cut cases, and everything closer is decided
 exactly.  The disjointness filter is ``geom_core.surely_disjoint``, which
 ``bbox_candidate_pairs`` uses too; the proper-crossing filter
 ``_surely_crossing`` lives here and has the same error bound.
-``torus_route`` finds paths on the torus by BFS on a rational grid: a grid
-edge is accepted only when the float ``surely_free`` test proves it clear by
-more than the rounding margin, and only the two segments attaching the
-endpoints to the grid and the shortcuts are tested exactly.
-Every result is an exact PL path whose segments provably avoid the
-obstacles.  Paths through annulus strips use ``germs_width``'s strip router.
+
+``grid_route`` is the one grid router: a BFS on a rational grid offset off
+the lattice, whose cells wrap along the axes where the obstacles wrap.  A
+grid edge is accepted only when the float ``surely_free`` test proves it
+clear by more than the rounding margin.  The float node coordinates carry a
+few roundings of their own, far below the 1e-9 margin, so every accepted
+edge is clear at the exact nodes too.  It has two callers: ``torus_route``
+on the torus, which tests only the segments attaching the endpoints to the
+grid and the shortcuts exactly, and ``germs_width``'s strip threading
+between an annulus arc and its translate, which adds stubs to the boundary
+circles.  Every result is an exact PL path whose segments provably avoid
+the obstacles.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .geom_core import (
     Empty,
@@ -178,28 +184,106 @@ def shortcut(
     return out
 
 
-def torus_route(
+def grid_node(i: int, j: int, n: int, salt: int = 5, x0: int = 0) -> RatPoint:
+    """Node (i, j) of the routing grid of step 1/n, offset off the lattice
+    by (1/(salt-2), 1/salt) of a step and moved right by x0."""
+    return (x0 + (i + Fraction(1, salt - 2)) / n, (j + Fraction(1, salt)) / n)
+
+
+def grid_route(
     obstacles: SegmentSet,
-    start: RatPoint,
-    end: RatPoint,
-    n: int = 16,
-    max_n: int = 128,
-) -> Optional[list[RatPoint]]:
-    """A PL path from start to some integer translate of end avoiding the
-    obstacles, found on a torus grid.  Returns lifted coordinates starting
-    exactly at ``start``; None if no route was found up to max_n."""
-    if start != end and not obstacles.hits(Segment(start, end), allow=[start, end]):
-        return [start, end]
-    while n <= max_n:
-        path = _torus_route_once(obstacles, start, end, n)
-        if path is not None:
-            return shortcut(path, obstacles.hits)
-        n *= 2
+    n: int,
+    starts: Sequence[tuple[int, int]],
+    goals: Container[tuple[int, int]],
+    salt: int = 5,
+    x0: int = 0,
+) -> Optional[list[tuple[int, int]]]:
+    """BFS on the grid of ``grid_node`` from the start cells to the first goal
+    reached; returns the cells along the way, unwrapped, or None.
+
+    Cell keys wrap modulo n along the axes where the obstacles wrap; where
+    y does not wrap, rows stay in 0 <= j < n.  Steps go +x, -x, then up and
+    down; when a vertical step is blocked, hops of 1 to 8 columns (+d before
+    -d) follow a corridor that shifts sideways.  A step to an unvisited cell
+    is taken only when ``surely_free`` proves its float segment clear."""
+    wx, wy = obstacles.wrap_x, obstacles.wrap_y
+    ox, oy = 1.0 / (salt - 2), 1.0 / salt
+
+    def key(i, j):
+        return (i % n if wx else i, j % n if wy else j)
+
+    prev: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    raw: dict[tuple[int, int], tuple[int, int]] = {}
+    dq = deque()
+    for cell in starts:
+        k = key(*cell)
+        if k not in prev:
+            prev[k] = None
+            raw[k] = cell
+            dq.append(k)
+
+    def step(cur, di, dj) -> bool:
+        ri, rj = raw[cur][0] + di, raw[cur][1] + dj
+        if not (wy or 0 <= rj < n):
+            return False
+        nxt = key(ri, rj)
+        if nxt in prev:
+            return True
+        ci, cj = cur
+        if not obstacles.surely_free(
+            x0 + (ci + ox) / n, (cj + oy) / n,
+            x0 + (ci + di + ox) / n, (cj + dj + oy) / n,
+        ):
+            return False
+        prev[nxt] = cur
+        raw[nxt] = (ri, rj)
+        dq.append(nxt)
+        return True
+
+    while dq:
+        cur = dq.popleft()
+        if cur in goals:
+            cells = []
+            while cur is not None:
+                cells.append(raw[cur])
+                cur = prev[cur]
+            return cells[::-1]
+        step(cur, 1, 0)
+        step(cur, -1, 0)
+        for dj in (1, -1):
+            if step(cur, 0, dj):
+                continue
+            for d in range(1, 9):
+                if step(cur, d, dj) or step(cur, -d, dj):
+                    break
     return None
 
 
-def _node_base(i: int, j: int, n: int) -> RatPoint:
-    return (Fraction(i, n) + Fraction(1, 3 * n), Fraction(j, n) + Fraction(1, 5 * n))
+def torus_route(
+    obstacles: SegmentSet, start: RatPoint, end: RatPoint
+) -> Optional[list[RatPoint]]:
+    """A PL path from start to some integer translate of end avoiding the
+    obstacles, found on torus grids of step 1/16, 1/32 and 1/64.  Returns
+    lifted coordinates starting exactly at ``start``; None if no grid gave
+    a route."""
+    if start != end and not obstacles.hits(Segment(start, end), allow=[start, end]):
+        return [start, end]
+    for n in (16, 32, 64):
+        starts = _attach(obstacles, start, n)
+        end_lift = {key: q for key, _, q in _attach(obstacles, end, n)}
+        if not starts or not end_lift:
+            continue
+        cells = grid_route(obstacles, n, [ij for _, ij, _ in starts], end_lift)
+        if cells is None:
+            continue
+        chain = [grid_node(i, j, n) for i, j in cells]
+        # the end attach was computed in end's own frame; realign by the
+        # integer vector separating the two lifts of the goal node
+        i, j = cells[-1]
+        q = end_lift[(i % n, j % n)]
+        end_pt = (end[0] + chain[-1][0] - q[0], end[1] + chain[-1][1] - q[1])
+        return shortcut([start] + chain + [end_pt], obstacles.hits)
+    return None
 
 
 def _attach(
@@ -214,76 +298,7 @@ def _attach(
     j0 = (p[1] - Fraction(1, 5 * n)) * n
     for i in range(math.floor(i0) - 1, math.floor(i0) + 3):
         for j in range(math.floor(j0) - 1, math.floor(j0) + 3):
-            q = _node_base(i, j, n)
-            if q == p:
-                out.append(((i % n, j % n), (i, j), q))
-                continue
-            if not obstacles.hits(Segment(p, q), allow=[p]):
+            q = grid_node(i, j, n)
+            if q == p or not obstacles.hits(Segment(p, q), allow=[p]):
                 out.append(((i % n, j % n), (i, j), q))
     return out
-
-
-def _torus_route_once(
-    obstacles: SegmentSet, start: RatPoint, end: RatPoint, n: int
-) -> Optional[list[RatPoint]]:
-    starts = _attach(obstacles, start, n)
-    ends = _attach(obstacles, end, n)
-    if not starts or not ends:
-        return None
-    end_keys = {key for key, _, _ in ends}
-    end_lift = {key: q for key, _, q in ends}
-
-    # the BFS runs on floats: an edge counts as free only when it clears the
-    # obstacles by more than the rounding margin, so accepted edges are
-    # provably clear and rejected ones merely wait for a finer grid
-    h = 1.0 / n
-    ox, oy = 1.0 / (3 * n), 1.0 / (5 * n)
-    blocked_cache: dict[tuple, bool] = {}
-
-    def edge_free(i, j, di, dj):
-        key = (i, j, di, dj)
-        if key not in blocked_cache:
-            px, py = i * h + ox, j * h + oy
-            blocked_cache[key] = obstacles.surely_free(
-                px, py, px + di * h, py + dj * h
-            )
-        return blocked_cache[key]
-
-    prev: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
-    raw: dict[tuple[int, int], tuple[int, int]] = {}
-    dq = deque()
-    for key, ints, _q in starts:
-        if key not in prev:
-            prev[key] = None
-            raw[key] = ints
-            dq.append(key)
-    goal = None
-    while dq:
-        cur = dq.popleft()
-        if cur in end_keys:
-            goal = cur
-            break
-        ci, cj = cur
-        ri, rj = raw[cur]
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nxt = ((ci + di) % n, (cj + dj) % n)
-            if nxt in prev:
-                continue
-            if edge_free(ci, cj, di, dj):
-                prev[nxt] = cur
-                raw[nxt] = (ri + di, rj + dj)
-                dq.append(nxt)
-    if goal is None:
-        return None
-    chain = []
-    cur = goal
-    while cur is not None:
-        chain.append(_node_base(*raw[cur], n))
-        cur = prev[cur]
-    chain.reverse()
-    # the end attach was computed in end's own frame; realign by the integer
-    # vector separating the two lifts of the goal node
-    e_key_lift = end_lift[goal]
-    shift = (chain[-1][0] - e_key_lift[0], chain[-1][1] - e_key_lift[1])
-    end_pt = (end[0] + shift[0], end[1] + shift[1])
-    return [start] + chain + [end_pt]

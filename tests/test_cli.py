@@ -125,6 +125,10 @@ def test_width_three_winding_with_path(tmp_path, capsys):
         # simple vertices of classes (7,1) and (1,7): no common cut class
         ({"a": {"lift": [["0", "0"], ["7", "1"]]},
           "b": {"lift": [["0", "1/2"], ["1", "15/2"]]}}, 5),
+        # two germs with different contraction factors
+        ({"a": RAY_GERM,
+          "b": dict(RAY_GERM, generator=pts([(1, 2), (F(1, 3), F(2, 3))]),
+                    **{"lambda": "1/3"})}, 5),
     ],
 )
 def test_width_rejects_without_traceback(tmp_path, capsys, fix, want):
@@ -205,6 +209,18 @@ def test_verify_chain_accepts_and_rejects(tmp_path, capsys):
     ]
     code, out = run(tmp_path, capsys, bad, "verify-chain")
     assert code == 1 and not out["accepted"] and out["violations"]
+
+
+@pytest.mark.parametrize("point", [["1/2"], ["1/0", "0"]], ids=["short_point", "zero_denominator"])
+def test_verify_chain_malformed_point_exits_2(tmp_path, capsys, point):
+    cert = bouquet_chain(*rand_chain_triple(random.Random(5))).to_json()
+    cert["point"] = point
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(cert))
+    code = main(["verify-chain", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_svg_is_written(tmp_path, capsys):

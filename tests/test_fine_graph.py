@@ -29,7 +29,7 @@ from finegraph.fine_graph import (
     refute_N,
 )
 from finegraph.generators import REALIZABLE_TYPES, rand_clique3, rand_vertex
-from finegraph.geom_core import pt, Segment
+from finegraph.geom_core import pt, Segment, vadd
 from finegraph.routing import SegmentSet, torus_route
 from finegraph.surfaces import (
     TorusCurve,
@@ -327,7 +327,32 @@ def test_route_blocked_between_parallel_walls():
         wrap_x=True,
         wrap_y=True,
     )
-    r = torus_route(
-        walls, pt(F(1, 2), F(1, 2)), pt(F(7, 8), F(1, 2)), n=16, max_n=32
-    )
+    r = torus_route(walls, pt(F(1, 2), F(1, 2)), pt(F(7, 8), F(1, 2)))
     assert r is None
+
+
+def test_route_commutes_with_integer_shifts():
+    # torus_route(obs, s + v, e + v) is the route for (s, e) moved by v:
+    # the grid cells wrap modulo n and the exact tests see translates.
+    # Each obstacle is a class (1,0) curve with a V dipping towards y = 0,
+    # and s and e sit on either side of the V, so routes bend around it.
+    rng = random.Random(11)
+    bent = 0
+    for _ in range(6):
+        x = F(rng.randrange(3, 7), 10)
+        tip = F(rng.randrange(1, 8), 64)
+        v_curve = TorusCurve(
+            [pt(0, F(1, 2)), pt(x - F(1, 10), F(1, 2)), pt(x, tip),
+             pt(x + F(1, 10), F(1, 2)), pt(1, F(1, 2))]
+        )
+        obstacles = SegmentSet(v_curve.segments(), wrap_x=True, wrap_y=True)
+        # below the V's mid-height, where the arms are less than 1/20 from x
+        y = tip + (F(1, 2) - tip) * F(rng.randrange(1, 5), 10)
+        s, e = pt(x - F(1, 20), y), pt(x + F(1, 20), y)
+        r = torus_route(obstacles, s, e)
+        assert r is not None
+        bent += len(r) > 2
+        for v in ((1, 0), (0, -1), (-2, 3)):
+            moved = torus_route(obstacles, vadd(s, v), vadd(e, v))
+            assert moved == [vadd(p, v) for p in r]
+    assert bent == 6

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from finegraph.geom_core import path_segments, polyline_self_intersects
 from finegraph.germs_width import (
     ContractionMismatch,
     DegenerateBigon,
     GermSpec,
     NonGeneric,
     WidthResult,
+    _thread_strip,
     distance_path,
     germ_width,
     rand_neighbor,
@@ -22,6 +24,7 @@ from finegraph.surfaces import (
     TorusCurve,
     lift_translates_hit,
 )
+from finegraph.routing import SegmentSet
 
 F = Fraction
 CA = SurfaceModel.COMPACT_ANNULUS
@@ -163,6 +166,43 @@ def test_random_neighbors_lower_bound():
         nb = rand_neighbor(a, rng)
         assert lift_translates_hit(nb, a) == set()
         assert relative_width(nb, b).width >= w - 1
+
+
+def test_path_commutes_with_integer_shifts():
+    a, b = vertical(F(1, 3)), winding(3)
+    path = distance_path(a, b)
+    for k in (1, -2):
+        assert distance_path(a.shifted(k), b.shifted(k)) == [u.shifted(k) for u in path]
+
+
+@pytest.mark.parametrize(
+    "wall, others, waypoint",
+    [
+        (vertical(F(1, 3)), [], None),
+        (vertical(F(1, 3)), [], (F(5, 6), F(9, 16))),
+        (winding(3), [], None),
+        # a lift running from y = 1 down to y = 0
+        (AnnulusArc(CA, [(F(2), F(1)), (F(5, 2), F(1, 2)), (F(3, 2), F(0))]), [], None),
+        # the two extreme translates of winding(3) that distance_path
+        # avoids on its first step from vertical(1/3)
+        (vertical(F(1, 3)), [winding(3).shifted(1), winding(3).shifted(-2)], None),
+    ],
+)
+def test_thread_strip_is_clear_simple_and_spans_the_window(wall, others, waypoint):
+    lift = list(wall.lift)
+    obstacles = [list(u.lift) for u in others]
+    path = _thread_strip(lift, obstacles, waypoint=waypoint)
+    assert path is not None
+    right = [(x + 1, y) for x, y in lift]
+    blockers = SegmentSet(
+        [s for p in (lift, right, *obstacles) for s in path_segments(p)]
+    )
+    assert not any(blockers.hits(s) for s in path_segments(path))
+    foot = {p[1]: p[0] for p in (lift[0], lift[-1])}
+    assert path[0][1] == 0 and foot[0] < path[0][0] < foot[0] + 1
+    assert path[-1][1] == 1 and foot[1] < path[-1][0] < foot[1] + 1
+    assert not polyline_self_intersects(path)
+    assert lift_translates_hit(AnnulusArc(CA, path), wall) == set()
 
 
 def test_path_rejects_torus_curves():
