@@ -22,16 +22,18 @@ from .geom_core import (
     RatPoint,
     Segment,
     bbox_candidate_pairs,
+    contacts,
     cross,
     mat_apply,
     path_segments,
+    polyline_self_intersects,
     segment_intersection,
     shift_segment,
     smul,
     vadd,
     vsub,
 )
-from .curves_ops import intersect_curves
+from .curves_ops import _offset_open, intersect_curves
 from .fine_graph import (
     BOUQUET,
     EdgeT,
@@ -48,13 +50,12 @@ from .routing import SegmentSet, torus_route
 from .surfaces import (
     TorusCurve,
     _CurveTrace,
-    _x_shift_range,
     complement_components,
     lift_on_path,
     sort_directions,
     torus_pair_hits,
     torus_rep,
-    translate_range,
+    x_shifts,
 )
 
 
@@ -141,19 +142,12 @@ class CutSurface:
     # ---------------------------------------------------------- the chart
 
     def _lift_hits(self, seg: Segment, j: int):
-        """Exact intersections of seg with the j-th vertical lift copy, in
-        the frame of the stored strip base."""
-        out = []
-        base = path_segments(self.strip_base)
+        """Contacts of seg with the j-th vertical lift copy of the cut, in
+        the frame of seg moved down by j."""
         w = (Fraction(0), Fraction(j))
         probe = Segment(vsub(seg.p, w), vsub(seg.q, w))
-        xs = _x_shift_range([probe.p, probe.q], self.strip_base)
-        shifts = [(i, 0) for i in xs]
-        for v, _, k in bbox_candidate_pairs([probe], base, shifts):
-            res = segment_intersection(shift_segment(probe, (-v[0], 0)), base[k])
-            if not isinstance(res, Empty):
-                out.append((res, base[k]))
-        return out
+        shifts = x_shifts([probe.p, probe.q], self.strip_base)
+        return contacts([probe], path_segments(self.strip_base), shifts)
 
     def _strip_level(self, q: RatPoint) -> int:
         """j such that q lies strictly between lifts j and j+1 of the cut."""
@@ -169,11 +163,8 @@ class CutSurface:
             valid = True
             for j in range(j_lo, j_hi + 1):
                 count = 0
-                for res, s in self._lift_hits(ray, j):
-                    if isinstance(res, Overlap):
-                        valid = False
-                        break
-                    if res.point == ray.p or not res.interior2:
+                for _, _, _, res in self._lift_hits(ray, j):
+                    if isinstance(res, Overlap) or not res.interior2:
                         valid = False
                         break
                     count += 1
@@ -214,7 +205,7 @@ class CutSurface:
             raise PointsDiffer("curve crosses the cut away from x")
         tr = _CurveTrace(b, 0)
         t_x = None
-        for si, sj, v, res in torus_pair_hits(b, self.base):
+        for v, si, sj, res in torus_pair_hits(b, self.base):
             if hasattr(res, "point"):
                 t_x = tr.param_of(si, res.point) % tr.n
         period = tr.sub_path(t_x, t_x)
@@ -256,19 +247,12 @@ def _arc_crossings(u: Sequence[RatPoint], v: Sequence[RatPoint]):
     Returned as (param along u, point in u's frame), sorted by param.
     Raises NonGenericInput on overlaps or non-transverse interior contact."""
     su = path_segments(u)
-    sv = path_segments(v)
     ends_u = {u[0], u[-1]}
     ends_v = {v[0], v[-1]}
-    u_pts = [p for s in su for p in (s.p, s.q)]
-    v_pts = [p for s in sv for p in (s.p, s.q)]
-    shifts = [(k, j) for (k, j) in translate_range(u_pts, v_pts, pad=0) if j == 0]
     out = []
     seen = set()
-    for w, ui, vi in bbox_candidate_pairs(su, sv, shifts):
+    for w, ui, _, res in contacts(su, path_segments(v), x_shifts(u, v)):
         s1 = su[ui]
-        res = segment_intersection(s1, shift_segment(sv[vi], w))
-        if isinstance(res, Empty):
-            continue
         if isinstance(res, Overlap):
             raise NonGenericInput("arcs overlap")
         p = res.point
@@ -313,70 +297,14 @@ def _sub_arc(arc: Sequence[RatPoint], t0: Fraction, t1: Fraction):
     return out
 
 
-def _offset_open(
-    arc: Sequence[RatPoint], t: Fraction, side: int, pin_start: bool, pin_end: bool
-):
-    """Parallel copy of an open polyline at miter offset t on the given
-    side; pinned endpoints keep their original position."""
-    pts = [p for i, p in enumerate(arc) if i == 0 or p != arc[i - 1]]
-    n = len(pts)
-    if n < 2:
-        return list(pts)
-
-    def nrm(i):
-        d = vsub(pts[i + 1], pts[i])
-        return (-d[1] * side, d[0] * side)
-
-    out = []
-    for i in range(n):
-        if (i == 0 and pin_start) or (i == n - 1 and pin_end):
-            out.append(pts[i])
-            continue
-        if i == 0:
-            out.append(vadd(pts[i], smul(t, nrm(0))))
-            continue
-        if i == n - 1:
-            out.append(vadd(pts[i], smul(t, nrm(n - 2))))
-            continue
-        dj = vsub(pts[i], pts[i - 1])
-        di = vsub(pts[i + 1], pts[i])
-        denom = cross(dj, di)
-        nj = (-dj[1] * side, dj[0] * side)
-        ni = (-di[1] * side, di[0] * side)
-        if denom == 0:
-            out.append(vadd(pts[i], smul(t, ni)))
-            continue
-        pj = vadd(vsub(pts[i], dj), smul(t, nj))
-        pi = vadd(pts[i], smul(t, ni))
-        w = vsub(pi, pj)
-        s = cross(w, di) / denom
-        out.append(vadd(pj, smul(s, dj)))
-    return out
-
-
 def _arc_simple(arc: Sequence[RatPoint]) -> bool:
+    """Is the arc embedded in the annulus: simple in the strip, and clear of
+    its own horizontal translates?"""
+    if polyline_self_intersects(arc):
+        return False
     segs = path_segments(arc)
-    if not segs:
-        return False
-    pts = [p for s in segs for p in (s.p, s.q)]
-    shifts = [(k, j) for (k, j) in translate_range(pts, pts, pad=0) if j == 0]
-    for v, i, k in bbox_candidate_pairs(segs, segs, shifts):
-        if v == (0, 0) and k <= i:
-            continue
-        res = segment_intersection(segs[i], shift_segment(segs[k], v))
-        if isinstance(res, Empty):
-            continue
-        # each segment may touch its successor at the shared vertex only,
-        # and the arc must avoid its own horizontal translates
-        if (
-            v == (0, 0)
-            and k - i == 1
-            and not isinstance(res, Overlap)
-            and res.point == segs[i].q
-        ):
-            continue
-        return False
-    return True
+    shifts = [v for v in x_shifts(arc, arc) if v != (0, 0)]
+    return next(contacts(segs, segs, shifts), None) is None
 
 
 def _set_hits_arc(sset: SegmentSet, arc: Sequence[RatPoint], allow=()) -> bool:
@@ -418,12 +346,7 @@ def _removal_ok(cand, new: Segment) -> bool:
     ni = next(
         (k for k, s in enumerate(segs) if s.p == new.p and s.q == new.q), None
     )
-    pts = [p for s in segs for p in (s.p, s.q)]
-    shifts = [(0, 0)] + [
-        (k, j)
-        for (k, j) in translate_range(pts, [new.p, new.q], pad=0)
-        if j == 0 and k != 0
-    ]
+    shifts = [(0, 0)] + [v for v in x_shifts(cand, [new.p, new.q]) if v != (0, 0)]
     for v, k, _ in bbox_candidate_pairs(segs, [new], shifts):
         if v == (0, 0) and k == ni:
             continue
@@ -571,6 +494,10 @@ class ChainCertificate:
         def curve(path):
             return TorusCurve([(Fraction(x), Fraction(y)) for x, y in path])
 
+        if len(data["point"]) != 2:
+            raise ValueError("point must have two entries")
+        if any(len(m) != 3 for m in data["moves"]):
+            raise ValueError("every move must have three curves")
         point = (Fraction(data["point"][0]), Fraction(data["point"][1]))
         edges = [EdgeT(curve(e["a"]), curve(e["b"]), point) for e in data["edges"]]
         moves = [tuple(curve(u) for u in m) for m in data["moves"]]

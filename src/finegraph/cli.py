@@ -22,7 +22,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import SCHEMA
-from .arc_graphs import ChainCertificate, bouquet_chain, cut_along, unicorn_path, verify_chain
+from .arc_graphs import (
+    ChainCertificate,
+    _arc_crossings,
+    bouquet_chain,
+    cut_along,
+    unicorn_path,
+    verify_chain,
+)
 from .curves_ops import SideChoice, intersect_curves, push_aside
 from .fine_graph import (
     ALL_DISJOINT,
@@ -490,16 +497,10 @@ def _check_unicorns(rng, corrupt):
     pts.append((F(1, 4), F(3, 2)))
     g2 = S.curve_to_arc(TorusCurve(pts))
     path = unicorn_path(S, g1, g2)
-    counts = [len(_count_crossings(path[0], arc)) for arc in path[1:]]
+    counts = [len(_arc_crossings(path[0], arc)) for arc in path[1:]]
     if counts != sorted(counts) or len(set(counts)) != len(counts):
         return "unicorn crossing counts are not strictly decreasing"
     return None
-
-
-def _count_crossings(u, v):
-    from .arc_graphs import _arc_crossings
-
-    return _arc_crossings(u, v)
 
 
 def _check_homeo(rng, corrupt):

@@ -82,7 +82,7 @@ def intersect_curves(a: TorusCurve, b: TorusCurve) -> IntersectionReport:
     ta, tb = _CurveTrace(a, 0), _CurveTrace(b, 1)
     report = IntersectionReport()
     seen_params: dict[RatPoint, tuple[Fraction, Fraction]] = {}
-    for si, sj, v, res in torus_pair_hits(a, b):
+    for v, si, sj, res in torus_pair_hits(a, b):
         if isinstance(res, Overlap):
             seg = res.segment
             arc = [torus_rep(seg.p), torus_rep(seg.q)]
@@ -117,6 +117,49 @@ def intersect_curves(a: TorusCurve, b: TorusCurve) -> IntersectionReport:
 
 
 # --------------------------------------------------------------------- push
+
+
+def _offset_open(
+    arc: Sequence[RatPoint], t: Fraction, side: int, pin_start: bool, pin_end: bool
+):
+    """Parallel copy of an open polyline at miter offset t on the given
+    side (+1 left, -1 right); pinned endpoints keep their original
+    position."""
+    pts = [p for i, p in enumerate(arc) if i == 0 or p != arc[i - 1]]
+    n = len(pts)
+    if n < 2:
+        return list(pts)
+
+    def nrm(i):
+        d = vsub(pts[i + 1], pts[i])
+        return (-d[1] * side, d[0] * side)
+
+    out = []
+    for i in range(n):
+        if (i == 0 and pin_start) or (i == n - 1 and pin_end):
+            out.append(pts[i])
+            continue
+        if i == 0:
+            out.append(vadd(pts[i], smul(t, nrm(0))))
+            continue
+        if i == n - 1:
+            out.append(vadd(pts[i], smul(t, nrm(n - 2))))
+            continue
+        dj = vsub(pts[i], pts[i - 1])
+        di = vsub(pts[i + 1], pts[i])
+        denom = cross(dj, di)
+        nj = (-dj[1] * side, dj[0] * side)
+        ni = (-di[1] * side, di[0] * side)
+        if denom == 0:
+            out.append(vadd(pts[i], smul(t, ni)))
+            continue
+        # intersection of the two offset lines (miter join)
+        pj = vadd(vsub(pts[i], dj), smul(t, nj))
+        pi = vadd(pts[i], smul(t, ni))
+        w = vsub(pi, pj)
+        s = cross(w, di) / denom
+        out.append(vadd(pj, smul(s, dj)))
+    return out
 
 
 def _point_seg_dist2(p: RatPoint, s: Segment) -> Fraction:
@@ -194,16 +237,10 @@ def push_aside(
     h = a.homology
     path = _merge_collinear(a.period_path(), h)
     pts = path[:-1]
-    n = len(pts)
-
-    def seg_dir(i):
-        p = pts[i]
-        q = path[i + 1]
-        return vsub(q, p)
-
-    def normal(i):
-        d = seg_dir(i)
-        return (-d[1], d[0]) if side is SideChoice.LEFT else (d[1], -d[0])
+    # the period path preceded by the previous copy of its last vertex, so
+    # that every vertex of the period gets a miter join
+    ext = [vsub(pts[-1], h)] + path
+    sgn = 1 if side is SideChoice.LEFT else -1
 
     crossings = {}
     clear2: Optional[Fraction] = None
@@ -218,21 +255,7 @@ def push_aside(
     t = Fraction(1, 4)
     for _ in range(200):
         ok = True
-        new_pts = []
-        for i in range(n):
-            j = (i - 1) % n
-            dj, di = seg_dir(j), seg_dir(i)
-            nj, ni = normal(j), normal(i)
-            denom = cross(dj, di)
-            if denom == 0:
-                new_pts.append(vadd(pts[i], smul(t, ni)))
-                continue
-            # intersection of the two offset lines (miter join)
-            pj = vadd(vsub(pts[i], dj), smul(t, nj))
-            pi = vadd(pts[i], smul(t, ni))
-            w = vsub(pi, pj)
-            s = cross(w, di) / denom
-            new_pts.append(vadd(pj, smul(s, dj)))
+        new_pts = _offset_open(ext, t, sgn, False, False)[1:-1]
         try:
             cand = TorusCurve(
                 new_pts

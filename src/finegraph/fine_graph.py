@@ -15,15 +15,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geom_core import (
-    Empty,
     Overlap,
     RatPoint,
     Segment,
-    bbox_candidate_pairs,
+    contacts,
     cross,
     path_segments,
-    segment_intersection,
-    shift_segment,
     smul,
     vadd,
     vsub,
@@ -185,7 +182,7 @@ def clique3_of_tags(*tags) -> Clique3Report:
 def _param_of_point(tr: _CurveTrace, curve: TorusCurve, other: TorusCurve, point: RatPoint) -> Fraction:
     """Param in [0, n) along curve (traced by tr) of a torus point where
     curve meets other."""
-    for si, sj, v, res in torus_pair_hits(curve, other):
+    for v, si, sj, res in torus_pair_hits(curve, other):
         if hasattr(res, "point") and torus_rep(res.point) == point:
             return tr.param_of(si, res.point) % tr.n
     raise RuntimeError("point not on both curves")
@@ -338,10 +335,7 @@ class _FaceLocator:
         axis = 0 if u[0] != 0 else 1
         shifts = translate_range([ray.p, ray.q], self.box)
         best = None
-        for v, _, k in bbox_candidate_pairs([ray], self.segs, shifts):
-            res = segment_intersection(ray, shift_segment(self.segs[k], v))
-            if isinstance(res, Empty):
-                continue
+        for _, _, k, res in contacts([ray], self.segs, shifts):
             if isinstance(res, Overlap) or res.point == p:
                 return None
             t = (res.point[axis] - p[axis]) / u[axis]
@@ -363,7 +357,7 @@ def _d_params_on(d: TorusCurve, curves: Sequence[TorusCurve]):
     tr = _CurveTrace(d, 0)
     params = set()
     for u in curves:
-        for si, sj, v, res in torus_pair_hits(d, u):
+        for v, si, sj, res in torus_pair_hits(d, u):
             if not hasattr(res, "point"):
                 raise WitnessSearchFailed("overlap while sampling pieces")
             t = tr.param_of(si, res.point)

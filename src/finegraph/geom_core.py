@@ -5,6 +5,10 @@ Floats appear only in the prefilter that skips segment pairs: padded float
 boxes (``float_box``) and the float orientation filter ``surely_disjoint``,
 which ``routing`` shares.  Each skips a pair only when its error bound
 proves the exact segments disjoint; every other pair is decided exactly.
+
+``contacts`` is the one contact enumerator: which segments of two PL paths
+meet, under which integer shifts, and how.  Only loops that must drop a
+candidate pair before its exact test call ``bbox_candidate_pairs`` directly.
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ def path_segments(path: Sequence[RatPoint]) -> list[Segment]:
 
 
 def polyline_edges(path: Sequence[RatPoint], closed: bool) -> list[Segment]:
-    edges = [Segment(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    edges = path_segments(path)
     if closed and path[0] != path[-1]:
         edges.append(Segment(path[-1], path[0]))
     return edges
@@ -260,3 +264,16 @@ def bbox_candidate_pairs(
                     px, py, qx, qy = f2[j]
                     if not surely_disjoint(*f1[i], px + vx, py + vy, qx + vx, qy + vy, scale):
                         yield v, i, j
+
+
+def contacts(
+    segs1: Sequence[Segment],
+    segs2: Sequence[Segment],
+    shifts: Iterable[tuple[int, int]] = ((0, 0),),
+) -> Iterator[tuple[tuple[int, int], int, int, IntersectionResult]]:
+    """(v, i, j, res) for each res = segment_intersection(segs1[i],
+    segs2[j] + v) that is not Empty, in ``bbox_candidate_pairs`` order."""
+    for v, i, j in bbox_candidate_pairs(segs1, segs2, shifts):
+        res = segment_intersection(segs1[i], shift_segment(segs2[j], v))
+        if not isinstance(res, Empty):
+            yield v, i, j, res

@@ -21,18 +21,15 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .geom_core import (
-    Empty,
     Overlap,
     RatPoint,
     Segment,
-    bbox_candidate_pairs,
+    contacts,
     cross,
     mat_apply,
     mat_mul,
     path_segments,
     polyline_self_intersects,
-    segment_intersection,
-    shift_segment,
     vadd,
 )
 from .arc_graphs import _map_curve, _normalizer
@@ -46,6 +43,8 @@ from .surfaces import (
     TorusCurve,
     _CurveTrace,
     lift_translates_hit,
+    shifts_meeting,
+    x_shifts,
 )
 
 
@@ -88,29 +87,13 @@ def relative_width(a, b, model: Optional[SurfaceModel] = None) -> WidthResult:
         if model not in (None, SurfaceModel.TORUS):
             raise ModelMismatch("torus curves need the torus model")
         aa, bb = _torus_strip_arcs(a, b)
-        return WidthResult.from_set(_shift_hits(aa, bb))
+        ks = shifts_meeting(path_segments(aa), path_segments(bb), x_shifts(bb, aa))
+        return WidthResult.from_set(ks)
     if isinstance(a, AnnulusArc) and isinstance(b, AnnulusArc):
         if model is not None and (a.model is not model or b.model is not model):
             raise ModelMismatch(f"arcs are not in the {model} model")
         return WidthResult.from_set(lift_translates_hit(a, b))
     raise ModelMismatch("mixed or unsupported operand types")
-
-
-def _shift_hits(u: Sequence[RatPoint], v: Sequence[RatPoint]) -> set:
-    """{k : u + (k,0) meets v} for two lifted strip arcs."""
-    xs_u = [p[0] for p in u]
-    xs_v = [p[0] for p in v]
-    lo = math.ceil(min(xs_v) - max(xs_u))
-    hi = math.floor(max(xs_v) - min(xs_u))
-    su, sv = path_segments(u), path_segments(v)
-    out = set()
-    shifts = [(k, 0) for k in range(lo, hi + 1)]
-    for w, j, i in bbox_candidate_pairs(sv, su, shifts):
-        if w[0] in out:
-            continue
-        if not isinstance(segment_intersection(shift_segment(su[i], w), sv[j]), Empty):
-            out.add(w[0])
-    return out
 
 
 def _cut_class(ha, hb):
@@ -216,14 +199,9 @@ def _thread_strip(
             got = _thread_grid(wall, blockers, n, waypoint, salt)
             if got is not None:
                 got = shortcut(got, blockers.hits)
-                if _path_simple(got):
+                if not polyline_self_intersects(got):
                     return got
     return None
-
-
-def _path_simple(path: list[RatPoint]) -> bool:
-    pts = [p for k, p in enumerate(path) if k == 0 or p != path[k - 1]]
-    return not polyline_self_intersects(pts)
 
 
 def _thread_grid(wall, blockers, n, waypoint, salt):
@@ -389,12 +367,9 @@ def _obstacles_collide(lift, lo_k: int, hi_k: int, wall) -> bool:
     the strip along wall?"""
     segs = path_segments(lift)
     back = (Fraction(-lo_k), Fraction(0))
-    for v, i, j in bbox_candidate_pairs(segs, segs, [(lo_k - hi_k, 0)]):
-        res = segment_intersection(segs[i], shift_segment(segs[j], v))
+    for _, _, _, res in contacts(segs, segs, [(lo_k - hi_k, 0)]):
         if isinstance(res, Overlap):
             return True
-        if isinstance(res, Empty):
-            continue
         if _inside_strip(vadd(res.point, back), wall):
             return True
     return False
@@ -557,12 +532,8 @@ def _copy_radii(path) -> tuple:
 
 def _copy_pair_hits(p1, p2):
     """Transverse interior intersections of two copy polylines; exact."""
-    s1, s2 = path_segments(p1), path_segments(p2)
     out = []
-    for _, i, j in bbox_candidate_pairs(s1, s2):
-        res = segment_intersection(s1[i], s2[j])
-        if isinstance(res, Empty):
-            continue
+    for _, i, j, res in contacts(path_segments(p1), path_segments(p2)):
         if isinstance(res, Overlap):
             raise NonGeneric("germ tails overlap")
         if not (res.interior1 and res.interior2):

@@ -4,6 +4,10 @@ A torus curve is stored as one lifted period in the plane: a PL path whose
 endpoint difference is the integer homology vector.  All quotient geometry
 (simplicity, intersections, faces) is computed by enumerating the finitely
 many integer translates that can meet a bounding box, exactly.
+
+In a strip the deck shifts are (k, 0): ``x_shifts`` lists those that can
+bring one point set into another's x-extent, and ``shifts_meeting`` is the
+one computation of the set K of shifts under which two lifts meet.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .geom_core import (
     RatPoint,
     Segment,
     bbox_candidate_pairs,
+    contacts,
     cross,
     orient,
     path_segments,
@@ -154,16 +159,11 @@ def lift_on_path(
 def torus_pair_hits(a: TorusCurve, b: TorusCurve):
     """All contacts between the projections of a and b.
 
-    Yields (seg_a_index, seg_b_index, v, result) over integer translates v of
+    Yields (v, seg_a_index, seg_b_index, result) over integer translates v of
     b with a nonempty contact; results are exact segment classifications.
     """
-    segs_a = a.segments()
-    segs_b = b.segments()
     shifts = translate_range(a.period_path(), b.period_path())
-    for v, i, j in bbox_candidate_pairs(segs_a, segs_b, shifts):
-        res = segment_intersection(segs_a[i], shift_segment(segs_b[j], v))
-        if not isinstance(res, Empty):
-            yield i, j, v, res
+    return contacts(a.segments(), b.segments(), shifts)
 
 
 def torus_curve_simple(c: TorusCurve) -> bool:
@@ -181,10 +181,7 @@ def _embedded(c: TorusCurve) -> bool:
     h = c.homology
     segs = c.segments()
     shifts = [v for v in translate_range(path, path) if v != (0, 0)]
-    for v, i, j in bbox_candidate_pairs(segs, segs, shifts):
-        res = segment_intersection(segs[i], shift_segment(segs[j], v))
-        if isinstance(res, Empty):
-            continue
+    for v, _, _, res in contacts(segs, segs, shifts):
         if isinstance(res, Overlap):
             return False
         # consecutive periods are forced to share one endpoint
@@ -242,10 +239,33 @@ class AnnulusArc:
         )
 
 
-def _x_shift_range(a_pts, b_pts) -> list[int]:
+def x_shifts(
+    a_pts: Sequence[RatPoint], b_pts: Sequence[RatPoint]
+) -> list[tuple[int, int]]:
+    """Deck shifts (k, 0) such that b + (k, 0) can touch a's x-extent, by
+    increasing k."""
     ax0, ax1, _, _ = _bbox(a_pts)
     bx0, bx1, _, _ = _bbox(b_pts)
-    return list(range(math.ceil(ax0 - bx1), math.floor(ax1 - bx0) + 1))
+    return [(k, 0) for k in range(math.ceil(ax0 - bx1), math.floor(ax1 - bx0) + 1)]
+
+
+def shifts_meeting(
+    segs_u: Sequence[Segment],
+    segs_v: Sequence[Segment],
+    shifts: Sequence[tuple[int, int]],
+) -> set[int]:
+    """{k : segs_u + (k, 0) meets segs_v} over the given shifts (k, 0).
+
+    A shift already found is not tested again, so this loop drops candidate
+    pairs before their exact test and does not go through ``contacts``."""
+    ks = set()
+    for v, j, i in bbox_candidate_pairs(segs_v, segs_u, shifts):
+        if v[0] in ks:
+            continue
+        res = segment_intersection(shift_segment(segs_u[i], v), segs_v[j])
+        if not isinstance(res, Empty):
+            ks.add(v[0])
+    return ks
 
 
 def _ray_segments(arc: AnnulusArc, span: Fraction) -> list[Segment]:
@@ -272,14 +292,8 @@ def lift_translates_hit(a: AnnulusArc, b: AnnulusArc):
     ) + 1
     segs_a = a.segments() + _ray_segments(a, span)
     segs_b = b.segments() + _ray_segments(b, span)
-    shifts = [(k, 0) for k in _x_shift_range(b.lift, a.lift)]
-    ks = set()
-    for v, j, i in bbox_candidate_pairs(segs_b, segs_a, shifts):
-        if v[0] in ks:
-            continue
-        res = segment_intersection(shift_segment(segs_a[i], v), segs_b[j])
-        if not isinstance(res, Empty):
-            ks.add(v[0])
+    shifts = x_shifts(b.lift, a.lift)
+    ks = shifts_meeting(segs_a, segs_b, shifts)
     # parallel co-directed rays escape any finite box: same x, same sign
     for k, _ in shifts:
         for sa in ((0, a.end_rays[0]), (-1, a.end_rays[1])):
@@ -474,7 +488,7 @@ class Arrangement:
         self.vertices: dict[RatPoint, list] = {}
         for i in range(len(tr)):
             for j in range(i + 1, len(tr)):
-                for si, sj, v, res in torus_pair_hits(tr[i].curve, tr[j].curve):
+                for v, si, sj, res in torus_pair_hits(tr[i].curve, tr[j].curve):
                     if isinstance(res, Overlap):
                         raise DegenerateOverlap(
                             f"curves {i} and {j} share a segment"

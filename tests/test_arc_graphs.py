@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from finegraph.arc_graphs import (
     ChainCertificate,
@@ -19,8 +20,16 @@ from finegraph.arc_graphs import (
 )
 from finegraph.fine_graph import NotAClique, classify_clique3
 from finegraph.generators import rand_chain_triple
-from finegraph.geom_core import Segment, pt
-from finegraph.surfaces import TorusCurve, torus_rep
+from finegraph.geom_core import (
+    Empty,
+    PointHit,
+    Segment,
+    path_segments,
+    pt,
+    segment_intersection,
+    shift_segment,
+)
+from finegraph.surfaces import TorusCurve, shifts_meeting, torus_rep, x_shifts
 
 F = Fraction
 
@@ -219,3 +228,71 @@ def test_verifier_rejects_tampered_chain():
     bad = ChainCertificate(edges=cert.edges, moves=list(cert.moves))
     bad.moves[0] = (a, b, vertical(F(3, 4)))
     assert verify_chain(bad) != []
+
+
+# ------------------------------------------- strip contacts by brute force
+
+strip_x = st.fractions(min_value=-1, max_value=2, max_denominator=4)
+strip_y = st.fractions(min_value=0, max_value=1, max_denominator=4)
+
+
+@st.composite
+def strip_arcs(draw):
+    """Open PL paths in the strip 0 <= y <= 1 on a coarse grid.  A vertex
+    may repeat an earlier one moved by (k, 0) or sit inside an earlier
+    segment, so shared endpoints, T-junctions and overlaps occur, also
+    between deck translates."""
+    pts = [draw(st.tuples(strip_x, strip_y))]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("fresh", "shifted", "tee")))
+        if kind == "shifted":
+            p = draw(st.sampled_from(pts))
+            pts.append((p[0] + draw(st.integers(-2, 2)), p[1]))
+        elif kind == "tee" and len(pts) >= 2:
+            i = draw(st.integers(0, len(pts) - 2))
+            (px, py), (qx, qy) = pts[i], pts[i + 1]
+            t = draw(st.sampled_from((F(1, 3), F(1, 2), F(2, 3))))
+            pts.append((px + t * (qx - px), py + t * (qy - py)))
+        else:
+            pts.append(draw(st.tuples(strip_x, strip_y)))
+    return pts
+
+
+def _deck_range(*arcs):
+    xs = [p[0] for arc in arcs for p in arc]
+    span = int(max(xs) - min(xs)) + 1
+    return range(-span - 1, span + 2)
+
+
+def _brute_simple(arc):
+    segs = path_segments(arc)
+    for k in _deck_range(arc):
+        for i, s in enumerate(segs):
+            for j, t in enumerate(segs):
+                if k == 0 and j <= i:
+                    continue
+                res = segment_intersection(s, shift_segment(t, (k, 0)))
+                if isinstance(res, Empty):
+                    continue
+                if k == 0 and j == i + 1 and isinstance(res, PointHit) and res.point == s.q:
+                    continue
+                return False
+    return True
+
+
+@given(strip_arcs().filter(path_segments))
+def test_arc_simple_matches_brute_force(arc):
+    assert _arc_simple(arc) == _brute_simple(arc)
+
+
+@given(strip_arcs(), strip_arcs())
+def test_shifts_meeting_matches_brute_force(u, v):
+    su, sv = path_segments(u), path_segments(v)
+    want = {
+        k
+        for k in _deck_range(u, v)
+        for s in su
+        for t in sv
+        if not isinstance(segment_intersection(shift_segment(s, (k, 0)), t), Empty)
+    }
+    assert shifts_meeting(su, sv, x_shifts(v, u)) == want

@@ -211,10 +211,21 @@ def test_verify_chain_accepts_and_rejects(tmp_path, capsys):
     assert code == 1 and not out["accepted"] and out["violations"]
 
 
-@pytest.mark.parametrize("point", [["1/2"], ["1/0", "0"]], ids=["short_point", "zero_denominator"])
-def test_verify_chain_malformed_point_exits_2(tmp_path, capsys, point):
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda cert: cert.update(point=["1/2"]),
+        lambda cert: cert.update(point=["1/0", "0"]),
+        lambda cert: cert.update(point=["172/273", "1/2", "7"]),
+        lambda cert: cert["moves"][0].pop(),
+        lambda cert: cert["moves"][0].append(cert["moves"][0][0]),
+    ],
+    ids=["short_point", "zero_denominator", "long_point", "two_curve_move", "four_curve_move"],
+)
+def test_verify_chain_malformed_point_exits_2(tmp_path, capsys, mutate):
     cert = bouquet_chain(*rand_chain_triple(random.Random(5))).to_json()
-    cert["point"] = point
+    assert cert["moves"]
+    mutate(cert)
     f = tmp_path / "input.json"
     f.write_text(json.dumps(cert))
     code = main(["verify-chain", str(f)])

@@ -11,6 +11,7 @@ from finegraph.geom_core import (
     PointHit,
     Segment,
     bbox_candidate_pairs,
+    contacts,
     orient,
     polyline_self_intersects,
     pt,
@@ -206,14 +207,16 @@ def test_bbox_candidates_keep_every_contact_in_order(segs1, segs2, shifts, data)
     rank = [(shifts.index(v), i, j) for v, i, j in got]
     assert rank == sorted(rank) and len(set(rank)) == len(rank)
     want = [
-        (v, i, j)
+        (v, i, j, res)
         for v in shifts
         for i, s1 in enumerate(segs1)
         for j, s2 in enumerate(segs2)
-        if not isinstance(segment_intersection(s1, shift_segment(s2, v)), Empty)
+        if not isinstance(res := segment_intersection(s1, shift_segment(s2, v)), Empty)
     ]
     got_set = set(got)
-    assert all(c in got_set for c in want)
+    assert all((v, i, j) in got_set for v, i, j, _ in want)
+    # the contact enumerator decides exactly the candidates, in their order
+    assert list(contacts(segs1, segs2, shifts)) == want
 
 
 @st.composite
