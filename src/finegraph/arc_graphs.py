@@ -14,19 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .geom_core import (
     Empty,
     Overlap,
+    PreparedSegments,
     RatPoint,
     Segment,
     bbox_candidate_pairs,
     contacts,
     cross,
+    edges_self_intersect,
+    lattice_shifts,
     mat_apply,
     path_segments,
-    polyline_self_intersects,
     segment_intersection,
     shift_segment,
     smul,
@@ -55,7 +58,6 @@ from .surfaces import (
     sort_directions,
     torus_pair_hits,
     torus_rep,
-    x_shifts,
 )
 
 
@@ -135,6 +137,10 @@ class CutSurface:
     strip_base: list[RatPoint]
     marked: tuple[RatPoint, RatPoint]
 
+    @cached_property
+    def _strip_segs(self) -> PreparedSegments:
+        return PreparedSegments(path_segments(self.strip_base))
+
     def boundary_set(self) -> SegmentSet:
         top = [vadd(p, (Fraction(0), Fraction(1))) for p in self.strip_base]
         return _arc_set([self.strip_base, top])
@@ -145,9 +151,9 @@ class CutSurface:
         """Contacts of seg with the j-th vertical lift copy of the cut, in
         the frame of seg moved down by j."""
         w = (Fraction(0), Fraction(j))
-        probe = Segment(vsub(seg.p, w), vsub(seg.q, w))
-        shifts = x_shifts([probe.p, probe.q], self.strip_base)
-        return contacts([probe], path_segments(self.strip_base), shifts)
+        probe = PreparedSegments([Segment(vsub(seg.p, w), vsub(seg.q, w))])
+        shifts = lattice_shifts(probe.bounds, self._strip_segs.bounds, wrap_y=False)
+        return contacts(probe, self._strip_segs, shifts)
 
     def _strip_level(self, q: RatPoint) -> int:
         """j such that q lies strictly between lifts j and j+1 of the cut."""
@@ -246,12 +252,13 @@ def _arc_crossings(u: Sequence[RatPoint], v: Sequence[RatPoint]):
 
     Returned as (param along u, point in u's frame), sorted by param.
     Raises NonGenericInput on overlaps or non-transverse interior contact."""
-    su = path_segments(u)
+    su = PreparedSegments(path_segments(u))
+    sv = PreparedSegments(path_segments(v))
     ends_u = {u[0], u[-1]}
     ends_v = {v[0], v[-1]}
     out = []
     seen = set()
-    for w, ui, _, res in contacts(su, path_segments(v), x_shifts(u, v)):
+    for w, ui, _, res in contacts(su, sv, lattice_shifts(su.bounds, sv.bounds, wrap_y=False)):
         s1 = su[ui]
         if isinstance(res, Overlap):
             raise NonGenericInput("arcs overlap")
@@ -300,10 +307,10 @@ def _sub_arc(arc: Sequence[RatPoint], t0: Fraction, t1: Fraction):
 def _arc_simple(arc: Sequence[RatPoint]) -> bool:
     """Is the arc embedded in the annulus: simple in the strip, and clear of
     its own horizontal translates?"""
-    if polyline_self_intersects(arc):
+    segs = PreparedSegments(path_segments(arc))
+    if edges_self_intersect(segs):
         return False
-    segs = path_segments(arc)
-    shifts = [v for v in x_shifts(arc, arc) if v != (0, 0)]
+    shifts = [v for v in lattice_shifts(segs.bounds, segs.bounds, wrap_y=False) if v != (0, 0)]
     return next(contacts(segs, segs, shifts), None) is None
 
 
@@ -342,12 +349,13 @@ def _simplify_arc(arc, avoid: Sequence[SegmentSet], allow=()):
 def _removal_ok(cand, new: Segment) -> bool:
     """After a vertex removal only the replacement segment is new; it alone
     is checked against the rest of the arc and its horizontal translates."""
-    segs = path_segments(cand)
+    segs, probe = PreparedSegments(path_segments(cand)), PreparedSegments([new])
     ni = next(
         (k for k, s in enumerate(segs) if s.p == new.p and s.q == new.q), None
     )
-    shifts = [(0, 0)] + [v for v in x_shifts(cand, [new.p, new.q]) if v != (0, 0)]
-    for v, k, _ in bbox_candidate_pairs(segs, [new], shifts):
+    shifts = lattice_shifts(segs.bounds, probe.bounds, wrap_y=False)
+    shifts = [(0, 0)] + [v for v in shifts if v != (0, 0)]
+    for v, k, _ in bbox_candidate_pairs(segs, probe, shifts):
         if v == (0, 0) and k == ni:
             continue
         res = segment_intersection(shift_segment(new, v), segs[k])
@@ -710,7 +718,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
             return None
         germ = [p1, x, p2]
         obs = SegmentSet(
-            obstacles.segs + path_segments(germ), wrap_x=True, wrap_y=True
+            [*obstacles.segs, *path_segments(germ)], wrap_x=True, wrap_y=True
         )
         r = torus_route(obs, p2, p1)
         if r is None:

@@ -21,6 +21,7 @@ from .geom_core import (
     Segment,
     cross,
     dist2,
+    lattice_shifts,
     orient,
     segment_intersection,
     smul,
@@ -34,7 +35,6 @@ from .surfaces import (
     torus_curve_simple,
     torus_pair_hits,
     torus_rep,
-    translate_range,
 )
 
 TRANSVERSE = "transverse"
@@ -186,10 +186,11 @@ def _seg_seg_dist2(s1: Segment, s2: Segment) -> Fraction:
 def min_dist2_curves(a: TorusCurve, b: TorusCurve) -> Fraction:
     """Minimum squared distance between the projections, 0 if they meet."""
     best: Optional[Fraction] = None
-    pa = a.period_path()
-    pb = b.period_path()
     segs_a = a.segments()
-    for v in translate_range(pa, pb, pad=1):
+    # every point lies within 1 of some lift of b, so a translate whose box
+    # is more than 1 away from a's never holds the minimum
+    x0, x1, y0, y1 = a._prepared.bounds
+    for v in lattice_shifts((x0 - 1, x1 + 1, y0 - 1, y1 + 1), b._prepared.bounds):
         w = (Fraction(v[0]), Fraction(v[1]))
         segs_b = [Segment(vadd(s.p, w), vadd(s.q, w)) for s in b.segments()]
         for s1 in segs_a:

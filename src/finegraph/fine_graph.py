@@ -16,10 +16,12 @@ from typing import Optional, Sequence
 
 from .geom_core import (
     Overlap,
+    PreparedSegments,
     RatPoint,
     Segment,
     contacts,
     cross,
+    lattice_shifts,
     path_segments,
     smul,
     vadd,
@@ -43,7 +45,6 @@ from .surfaces import (
     torus_curve_simple,
     torus_pair_hits,
     torus_rep,
-    translate_range,
 )
 
 
@@ -308,18 +309,16 @@ class _FaceLocator:
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
-        self.segs: list[Segment] = []
+        segs = []
         self.seg_edge: list[tuple[int, RatPoint]] = []
         for e, ed in enumerate(arr.edges):
             if ed["label"] >= arr.n_input:
                 continue
             g = ed["geom"]
             for i in range(len(g) - 1):
-                self.segs.append(Segment(g[i], g[i + 1]))
+                segs.append(Segment(g[i], g[i + 1]))
                 self.seg_edge.append((e, vsub(g[i + 1], g[i])))
-        xs = [q[0] for s in self.segs for q in (s.p, s.q)]
-        ys = [q[1] for s in self.segs for q in (s.p, s.q)]
-        self.box = [(min(xs), min(ys)), (max(xs), max(ys))]
+        self.segs = PreparedSegments(segs)
 
     def locate(self, p: RatPoint) -> int:
         for u in self._RAYS:
@@ -331,11 +330,11 @@ class _FaceLocator:
     def _first_dart(self, p: RatPoint, u: RatPoint) -> Optional[int]:
         """The dart first crossed by the ray from p along u, or None when
         that first contact is degenerate."""
-        ray = Segment(p, vadd(p, u))
+        ray = PreparedSegments([Segment(p, vadd(p, u))])
         axis = 0 if u[0] != 0 else 1
-        shifts = translate_range([ray.p, ray.q], self.box)
+        shifts = lattice_shifts(ray.bounds, self.segs.bounds)
         best = None
-        for _, _, k, res in contacts([ray], self.segs, shifts):
+        for _, _, k, res in contacts(ray, self.segs, shifts):
             if isinstance(res, Overlap) or res.point == p:
                 return None
             t = (res.point[axis] - p[axis]) / u[axis]

@@ -1,18 +1,25 @@
 """Exact rational planar primitives.
 
 Points are pairs of ``fractions.Fraction``.  All predicates are exact.
-Floats appear only in the prefilter that skips segment pairs: padded float
-boxes (``float_box``) and the float orientation filter ``surely_disjoint``,
-which ``routing`` shares.  Each skips a pair only when its error bound
-proves the exact segments disjoint; every other pair is decided exactly.
+Floats appear only in the prefilter, which lives here whole.
+``PreparedSegments`` holds a segment list with its float coordinates, padded
+``float_box``es and float bounds, built once per list; ``lattice_shifts`` is
+the one rule for the integer shifts under which one float box can reach
+another; ``probe_candidates`` is the one candidate loop, a float probe moved
+by each shift against a prepared list through the box test and
+``surely_disjoint``.  A filter skips a pair only when its error bound proves
+the exact segments disjoint, and ``surely_crossing`` reports a proper
+crossing only when its bound proves one; every other pair is decided exactly.
 
 ``contacts`` is the one contact enumerator: which segments of two PL paths
-meet, under which integer shifts, and how.  Only loops that must drop a
-candidate pair before its exact test call ``bbox_candidate_pairs`` directly.
+meet, under which integer shifts, and how.  ``routing.SegmentSet`` runs the
+candidate loop itself, and only loops that must drop a candidate pair before
+its exact test call ``bbox_candidate_pairs`` directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -170,17 +177,18 @@ def path_segments(path: Sequence[RatPoint]) -> list[Segment]:
     ]
 
 
-def polyline_edges(path: Sequence[RatPoint], closed: bool) -> list[Segment]:
-    edges = path_segments(path)
-    if closed and path[0] != path[-1]:
-        edges.append(Segment(path[-1], path[0]))
-    return edges
-
-
 def polyline_self_intersects(path: Sequence[RatPoint], closed: bool = False) -> bool:
     """True iff non-adjacent edges meet, or adjacent edges meet off their
     shared vertex."""
-    edges = polyline_edges(path, closed)
+    edges = path_segments(path)
+    if closed and path[0] != path[-1]:
+        edges.append(Segment(path[-1], path[0]))
+    return edges_self_intersect(edges, closed)
+
+
+def edges_self_intersect(edges: Sequence[Segment], closed: bool = False) -> bool:
+    """``polyline_self_intersects`` for the path whose edges, in order, are
+    ``edges``."""
     n = len(edges)
     for _, i, j in bbox_candidate_pairs(edges, edges):
         if j <= i:
@@ -234,41 +242,101 @@ def surely_disjoint(px, py, qx, qy, ax, ay, bx, by, shift) -> bool:
     return (d3 > m and d4 > m) or (d3 < -m and d4 < -m)
 
 
+def surely_crossing(px, py, qx, qy, ax, ay, bx, by, shift) -> bool:
+    """Float filter: True only when the segments provably cross properly;
+    inputs and margin as in ``surely_disjoint``."""
+    m = 1e-9 * (1.0 + max(abs(px), abs(py), abs(qx), abs(qy), abs(ax), abs(ay), abs(bx), abs(by), shift)) ** 2
+    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+    if not ((d1 > m and d2 < -m) or (d1 < -m and d2 > m)):
+        return False
+    d3 = (qx - px) * (ay - py) - (qy - py) * (ax - px)
+    d4 = (qx - px) * (by - py) - (qy - py) * (bx - px)
+    return (d3 > m and d4 < -m) or (d3 < -m and d4 > m)
+
+
+class PreparedSegments(tuple):
+    """A tuple of segments prepared once for the float prefilter.
+
+    ``floats`` holds each segment's float coordinates (px, py, qx, qy) and
+    ``boxes`` its padded ``float_box``; ``bounds`` is the float box
+    (x0, x1, y0, y1) of all endpoints, unpadded, or None when empty.  Like
+    ``tuple``, it returns an argument that is already one as it is."""
+
+    def __new__(cls, segs: Iterable[Segment]):
+        if isinstance(segs, PreparedSegments):
+            return segs
+        self = super().__new__(cls, segs)
+        self.floats = [(float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1])) for s in self]
+        self.boxes = [float_box(*f) for f in self.floats]
+        xs = [c for f in self.floats for c in (f[0], f[2])]
+        ys = [c for f in self.floats for c in (f[1], f[3])]
+        self.bounds = (min(xs), max(xs), min(ys), max(ys)) if xs else None
+        return self
+
+
+def lattice_shifts(a, b, wrap_x: bool = True, wrap_y: bool = True) -> list[tuple[int, int]]:
+    """The one lattice-shift rule: integer shifts v, by increasing x and then
+    y, under which the float box b + v can reach the float box a, both
+    (x0, x1, y0, y1); 0 only along an axis that does not wrap, and none when
+    either box is None.  The ends are widened by 1e-6 + 1e-12 M, M the
+    largest magnitude in the boxes, far above the 2**-53 M error per float
+    bound, so every shift under which the exact boxes meet is listed; an
+    extra shift only adds candidates that the exact test rejects."""
+    if a is None or b is None:
+        return []
+    ax0, ax1, ay0, ay1 = a
+    bx0, bx1, by0, by1 = b
+    s = 1e-6 + 1e-12 * max(-ax0, ax1, -ay0, ay1, -bx0, bx1, -by0, by1)
+    vx = range(math.ceil(ax0 - bx1 - s), math.floor(ax1 - bx0 + s) + 1) if wrap_x else (0,)
+    vy = range(math.ceil(ay0 - by1 - s), math.floor(ay1 - by0 + s) + 1) if wrap_y else (0,)
+    return [(i, j) for i in vx for j in vy]
+
+
+def probe_candidates(
+    prep: PreparedSegments, box, f, shifts: Iterable[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], int]]:
+    """The one float candidate loop: (v, k) for each shift v, in order, and
+    each k, in order, such that ``prep[k]`` and the probe moved by -v have
+    overlapping padded boxes and ``surely_disjoint`` does not prove them
+    apart.  The probe has the float coordinates f and the padded box box.
+    Conservative: (v, k) is yielded whenever the exact probe moved by -v
+    meets ``prep[k]``."""
+    x0, x1, y0, y1 = box
+    px, py, qx, qy = f
+    floats, boxes = prep.floats, prep.boxes
+    for v in shifts:
+        i, j = v
+        a0, a1, b0, b1 = x0 - i, x1 - i, y0 - j, y1 - j
+        for k, (sx0, sx1, sy0, sy1) in enumerate(boxes):
+            if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
+                continue
+            if not surely_disjoint(px - i, py - j, qx - i, qy - j, *floats[k], max(abs(i), abs(j))):
+                yield v, k
+
+
 def bbox_candidate_pairs(
-    segs1: Sequence[Segment],
-    segs2: Sequence[Segment],
+    segs1: Sequence[Segment], segs2: Sequence[Segment],
     shifts: Iterable[tuple[int, int]] = ((0, 0),),
 ) -> Iterator[tuple[tuple[int, int], int, int]]:
-    """(v, i, j) for each shift v and each pair with segs1[i] and segs2[j] + v
-    in overlapping padded float boxes that ``surely_disjoint`` does not
-    prove apart, in the order of shifts, then i, then j.
+    """(v, i, j) for each shift v and each pair that ``probe_candidates``
+    leaves for segs1[i] against segs2[j] + v, in the order of shifts, then
+    i, then j.  Either list may be a ``PreparedSegments``.
 
     Conservative: no pair that meets exactly is ever skipped, so callers
     confirm candidates exactly and build shifted segments only for them.
     """
-
-    def floats(segs):
-        return [(float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1])) for s in segs]
-
-    f1 = floats(segs1)
-    f2 = f1 if segs2 is segs1 else floats(segs2)
-    boxes1 = [float_box(*f) for f in f1]
-    boxes2 = [float_box(*f) for f in f2]
+    p1 = PreparedSegments(segs1)
+    p2 = p1 if segs2 is segs1 else PreparedSegments(segs2)
     for v in shifts:
-        vx, vy = float(v[0]), float(v[1])
-        scale = max(abs(vx), abs(vy))
-        moved = [(x0 + vx, x1 + vx, y0 + vy, y1 + vy) for x0, x1, y0, y1 in boxes2]
-        for i, (ax0, ax1, ay0, ay1) in enumerate(boxes1):
-            for j, (bx0, bx1, by0, by1) in enumerate(moved):
-                if bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1:
-                    px, py, qx, qy = f2[j]
-                    if not surely_disjoint(*f1[i], px + vx, py + vy, qx + vx, qy + vy, scale):
-                        yield v, i, j
+        w = (v,)
+        for i, box in enumerate(p1.boxes):
+            for _, j in probe_candidates(p2, box, p1.floats[i], w):
+                yield v, i, j
 
 
 def contacts(
-    segs1: Sequence[Segment],
-    segs2: Sequence[Segment],
+    segs1: Sequence[Segment], segs2: Sequence[Segment],
     shifts: Iterable[tuple[int, int]] = ((0, 0),),
 ) -> Iterator[tuple[tuple[int, int], int, int, IntersectionResult]]:
     """(v, i, j, res) for each res = segment_intersection(segs1[i],

@@ -22,10 +22,12 @@ from typing import Optional, Sequence, Union
 
 from .geom_core import (
     Overlap,
+    PreparedSegments,
     RatPoint,
     Segment,
     contacts,
     cross,
+    lattice_shifts,
     mat_apply,
     mat_mul,
     path_segments,
@@ -44,7 +46,6 @@ from .surfaces import (
     _CurveTrace,
     lift_translates_hit,
     shifts_meeting,
-    x_shifts,
 )
 
 
@@ -87,7 +88,8 @@ def relative_width(a, b, model: Optional[SurfaceModel] = None) -> WidthResult:
         if model not in (None, SurfaceModel.TORUS):
             raise ModelMismatch("torus curves need the torus model")
         aa, bb = _torus_strip_arcs(a, b)
-        ks = shifts_meeting(path_segments(aa), path_segments(bb), x_shifts(bb, aa))
+        pa, pb = PreparedSegments(path_segments(aa)), PreparedSegments(path_segments(bb))
+        ks = shifts_meeting(pa, pb, lattice_shifts(pb.bounds, pa.bounds, wrap_y=False))
         return WidthResult.from_set(ks)
     if isinstance(a, AnnulusArc) and isinstance(b, AnnulusArc):
         if model is not None and (a.model is not model or b.model is not model):

@@ -23,10 +23,12 @@ from typing import Optional, Sequence
 
 from .geom_core import (
     Empty,
+    PreparedSegments,
     RatPoint,
     Segment,
     bbox_candidate_pairs,
     cross,
+    lattice_shifts,
     mat_apply,
     mat_mul,
     path_segments,
@@ -44,7 +46,7 @@ from .fine_graph import (
     clique3_of_tags,
     is_edge,
 )
-from .surfaces import TorusCurve, torus_rep, translate_range
+from .surfaces import TorusCurve, torus_rep
 
 LINEAR = "linear"
 TRANSLATION = "translation"
@@ -63,7 +65,8 @@ class Triangulation:
     whose images differ by the same deck translation, so the map descends
     to the torus with identity action on homology.  ``edges`` holds each
     triangulation edge once modulo Z^2 and orientation, as a ``Segment`` in
-    the square; ``affine`` holds each triangle's map x -> Mx + k as (M, k)."""
+    the square, in a ``PreparedSegments``; ``affine`` holds each triangle's
+    map x -> Mx + k as (M, k)."""
 
     vertices: tuple
     images: tuple
@@ -196,7 +199,7 @@ def pl_map(vertices, images, triangles) -> TorusMap:
             edges.setdefault((vsub(a, s), vsub(b, s)), Segment(a, b))
     affine = tuple(_tri_affine(s, t) for s, t in zip(src, img))
     return TorusMap(kind=PL, tri=Triangulation(
-        vertices, images, triangles, tuple(edges.values()), affine))
+        vertices, images, triangles, PreparedSegments(tuple(edges.values())), affine))
 
 
 def map_point(f: TorusMap, p: RatPoint) -> RatPoint:
@@ -216,9 +219,9 @@ def map_point(f: TorusMap, p: RatPoint) -> RatPoint:
 def _grid_refine(path: Sequence[RatPoint], f: TorusMap) -> list[RatPoint]:
     """Subdivide a lifted path at every crossing with a triangulation edge
     (all integer translates), so each piece maps by one affine map."""
-    segs = path_segments(path)
-    shifts = translate_range(path, ((0, 0), (1, 1)))
+    segs = PreparedSegments(path_segments(path))
     cuts = [set() for _ in segs]
+    shifts = lattice_shifts(segs.bounds, f.tri.edges.bounds)
     for v, i, j in bbox_candidate_pairs(segs, f.tri.edges, shifts):
         p, q = segs[i].p, segs[i].q
         e = shift_segment(f.tri.edges[j], v)

@@ -1,11 +1,12 @@
 """Obstacle sets and grid routing in the complement of PL obstacles.
 
-``SegmentSet`` answers exact contact queries against obstacle segments
-repeated under the torus or annulus translations; float boxes and float
-orientation filters settle clear-cut cases, and everything closer is decided
-exactly.  The disjointness filter is ``geom_core.surely_disjoint``, which
-``bbox_candidate_pairs`` uses too; the proper-crossing filter
-``_surely_crossing`` lives here and has the same error bound.
+``SegmentSet`` answers contact queries against obstacle segments repeated
+under the torus or annulus translations.  It keeps its obstacles as one
+``geom_core.PreparedSegments`` and runs each probe through the prefilter of
+``geom_core``: the shifts of ``lattice_shifts`` and the candidate loop
+``probe_candidates``.  ``surely_free`` is the float verdict alone; ``hits``
+lets ``surely_crossing`` settle clear crossings and decides every other
+candidate exactly.
 
 ``grid_route`` is the one grid router: a BFS on a rational grid offset off
 the lattice, whose cells wrap along the axes where the obstacles wrap.  A
@@ -29,136 +30,67 @@ from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .geom_core import (
     Empty,
+    PreparedSegments,
     RatPoint,
     Segment,
     float_box,
+    lattice_shifts,
+    probe_candidates,
     segment_intersection,
     shift_segment,
-    surely_disjoint,
+    surely_crossing,
     vadd,
 )
 
 
-def _surely_crossing(px, py, qx, qy, ax, ay, bx, by, shift) -> bool:
-    """Float filter: True only when the segments provably cross properly;
-    inputs and margin as in ``geom_core.surely_disjoint``."""
-    m = 1e-9 * (1.0 + max(abs(px), abs(py), abs(qx), abs(qy), abs(ax), abs(ay), abs(bx), abs(by), shift)) ** 2
-    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    d2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-    if not ((d1 > m and d2 < -m) or (d1 < -m and d2 > m)):
-        return False
-    d3 = (qx - px) * (ay - py) - (qy - py) * (ax - px)
-    d4 = (qx - px) * (by - py) - (qy - py) * (bx - px)
-    return (d3 > m and d4 < -m) or (d3 < -m and d4 > m)
-
-
 class SegmentSet:
-    """Obstacle segments with float box and orientation prefilters.
+    """Obstacle segments, prepared once for the float prefilter.
 
     ``wrap_x``/``wrap_y`` mark translation lattice directions under which the
     obstacles repeat ((1,0),(0,1) for torus curves, (1,0) for annulus lifts,
-    none for plain planar obstacles).  A query tests the probe's box against
-    every obstacle box under each translate that can reach it; sets hold a
+    none for plain planar obstacles).  A query runs the probe through
+    ``probe_candidates`` under each shift of ``lattice_shifts``; sets hold a
     few dozen segments and most are queried only a few times, so no spatial
     index is built."""
 
-    def __init__(
-        self,
-        segs: Sequence[Segment],
-        wrap_x: bool = False,
-        wrap_y: bool = False,
-    ):
-        self.segs = list(segs)
+    def __init__(self, segs: Sequence[Segment], wrap_x: bool = False, wrap_y: bool = False):
+        self.segs = PreparedSegments(segs)
         self.wrap_x = wrap_x
         self.wrap_y = wrap_y
-        self._pts = [p for s in self.segs for p in (s.p, s.q)]
-        self._segf = [
-            (float(s.p[0]), float(s.p[1]), float(s.q[0]), float(s.q[1]))
-            for s in self.segs
-        ]
-        self._boxf = [float_box(*f) for f in self._segf]
-        if self._pts:
-            xs = [float(p[0]) for p in self._pts]
-            ys = [float(p[1]) for p in self._pts]
-            self._obox = (min(xs), max(xs), min(ys), max(ys))
-        else:
-            self._obox = None
-
-    def _translates(self, ax0, ax1, ay0, ay1) -> list[tuple[int, int]]:
-        """Integer shifts whose obstacle copies can reach the probe box.
-
-        Float bounds widened by a slack far above rounding error; a spurious
-        extra translate only costs a rejected box test."""
-        if not self.segs:
-            return []
-        if not (self.wrap_x or self.wrap_y):
-            return [(0, 0)]
-        bx0, bx1, by0, by1 = self._obox
-        slack = 1e-6
-        vx = (
-            range(math.ceil(ax0 - bx1 - slack), math.floor(ax1 - bx0 + slack) + 1)
-            if self.wrap_x
-            else (0,)
-        )
-        vy = (
-            range(math.ceil(ay0 - by1 - slack), math.floor(ay1 - by0 + slack) + 1)
-            if self.wrap_y
-            else (0,)
-        )
-        return [(i, j) for i in vx for j in vy]
 
     def surely_free(self, px, py, qx, qy) -> bool:
         """True only when the float segment provably misses every obstacle
         copy; anything within the rounding margin counts as blocked."""
-        if not self.segs:
-            return True
-        bx0, bx1, by0, by1 = float_box(px, py, qx, qy)
-        for (i, j) in self._translates(bx0, bx1, by0, by1):
-            a0, a1 = bx0 - i, bx1 - i
-            b0, b1 = by0 - j, by1 - j
-            shift = max(abs(i), abs(j))
-            for k, (sx0, sx1, sy0, sy1) in enumerate(self._boxf):
-                if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
-                    continue
-                if not surely_disjoint(px - i, py - j, qx - i, qy - j, *self._segf[k], shift):
-                    return False
-        return True
+        box = float_box(px, py, qx, qy)
+        shifts = lattice_shifts(box, self.segs.bounds, self.wrap_x, self.wrap_y)
+        return next(probe_candidates(self.segs, box, (px, py, qx, qy), shifts), None) is None
 
     def hits(self, seg: Segment, allow: Iterable[RatPoint] = ()) -> bool:
         """Does seg touch any obstacle (modulo wraps)?  Contacts exactly at
         points listed in ``allow`` are ignored."""
-        if not self.segs:
-            return False
         allow = set(allow)
         px, py = float(seg.p[0]), float(seg.p[1])
         qx, qy = float(seg.q[0]), float(seg.q[1])
-        bx0, bx1, by0, by1 = float_box(px, py, qx, qy)
-        for (i, j) in self._translates(bx0, bx1, by0, by1):
-            fi, fj = float(i), float(j)
-            a0, a1 = bx0 - fi, bx1 - fi
-            b0, b1 = by0 - fj, by1 - fj
-            shift = max(abs(fi), abs(fj))
-            moved = None
-            for k, (sx0, sx1, sy0, sy1) in enumerate(self._boxf):
-                if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
-                    continue
-                if surely_disjoint(px - fi, py - fj, qx - fi, qy - fj, *self._segf[k], shift):
-                    continue
-                if not allow and _surely_crossing(
-                    px - fi, py - fj, qx - fi, qy - fj, *self._segf[k], shift
-                ):
-                    return True
-                if moved is None:
-                    moved = shift_segment(seg, (-i, -j))
-                res = segment_intersection(moved, self.segs[k])
-                if isinstance(res, Empty):
-                    continue
-                if (
-                    hasattr(res, "point")
-                    and vadd(res.point, (Fraction(i), Fraction(j))) in allow
-                ):
-                    continue
+        box = float_box(px, py, qx, qy)
+        shifts = lattice_shifts(box, self.segs.bounds, self.wrap_x, self.wrap_y)
+        moved_by, floats = None, self.segs.floats
+        for v, k in probe_candidates(self.segs, box, (px, py, qx, qy), shifts):
+            i, j = v
+            if not allow and surely_crossing(
+                px - i, py - j, qx - i, qy - j, *floats[k], max(abs(i), abs(j))
+            ):
                 return True
+            if moved_by != v:
+                moved_by, moved = v, shift_segment(seg, (-i, -j))
+            res = segment_intersection(moved, self.segs[k])
+            if isinstance(res, Empty):
+                continue
+            if (
+                hasattr(res, "point")
+                and vadd(res.point, (Fraction(i), Fraction(j))) in allow
+            ):
+                continue
+            return True
         return False
 
 

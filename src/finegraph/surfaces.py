@@ -1,13 +1,15 @@
 """Surface models, covering-space lifts, homology, and arrangement faces.
 
 A torus curve is stored as one lifted period in the plane: a PL path whose
-endpoint difference is the integer homology vector.  All quotient geometry
-(simplicity, intersections, faces) is computed by enumerating the finitely
-many integer translates that can meet a bounding box, exactly.
+endpoint difference is the integer homology vector.  It keeps its segments
+and, beside them, their ``PreparedSegments`` for the float prefilter.  All
+quotient geometry (simplicity, intersections, faces) is computed exactly over
+the finitely many integer translates that ``geom_core.lattice_shifts`` lists
+for the float bounds.
 
-In a strip the deck shifts are (k, 0): ``x_shifts`` lists those that can
-bring one point set into another's x-extent, and ``shifts_meeting`` is the
-one computation of the set K of shifts under which two lifts meet.
+In a strip the deck shifts are (k, 0), the same rule without y-wrap, and
+``shifts_meeting`` is the one computation of the set K of shifts under which
+two lifts meet.
 """
 
 from __future__ import annotations
@@ -17,19 +19,21 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geom_core import (
     Empty,
     Overlap,
     RatPoint,
     Segment,
+    PreparedSegments,
     bbox_candidate_pairs,
     contacts,
     cross,
+    edges_self_intersect,
+    lattice_shifts,
     orient,
     path_segments,
-    polyline_self_intersects,
     segment_intersection,
     shift_segment,
     sign,
@@ -69,7 +73,8 @@ class TorusCurve:
 
     ``lift`` runs from v0 to v0+(p,q), where (p,q) is the integer
     ``homology``.  Equality, hashing and repr use ``lift`` alone; the
-    segments and the simplicity verdict are computed once per object.
+    segments, their prepared float data and the simplicity verdict are
+    computed once per object, when first needed.
     """
 
     lift: tuple[RatPoint, ...]
@@ -101,6 +106,10 @@ class TorusCurve:
     def _segments(self) -> tuple[Segment, ...]:
         return tuple(path_segments(self.lift))
 
+    @cached_property
+    def _prepared(self) -> PreparedSegments:
+        return PreparedSegments(self._segments)
+
     def segments(self) -> list[Segment]:
         return list(self._segments)
 
@@ -115,27 +124,6 @@ class TorusCurve:
 def path_homology(path: Sequence[RatPoint]) -> tuple[Fraction, Fraction]:
     d = vsub(path[-1], path[0])
     return (d[0], d[1])
-
-
-def _bbox(points: Iterable[RatPoint]):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
-def translate_range(
-    a_pts: Sequence[RatPoint], b_pts: Sequence[RatPoint], pad: int = 0
-):
-    """Integer vectors v such that (b + v) can touch a's bounding box."""
-    ax0, ax1, ay0, ay1 = _bbox(a_pts)
-    bx0, bx1, by0, by1 = _bbox(b_pts)
-    vx0 = math.ceil(ax0 - bx1) - pad
-    vx1 = math.floor(ax1 - bx0) + pad
-    vy0 = math.ceil(ay0 - by1) - pad
-    vy1 = math.floor(ay1 - by0) + pad
-    return [
-        (i, j) for i in range(vx0, vx1 + 1) for j in range(vy0, vy1 + 1)
-    ]
 
 
 def lift_on_path(
@@ -162,8 +150,8 @@ def torus_pair_hits(a: TorusCurve, b: TorusCurve):
     Yields (v, seg_a_index, seg_b_index, result) over integer translates v of
     b with a nonempty contact; results are exact segment classifications.
     """
-    shifts = translate_range(a.period_path(), b.period_path())
-    return contacts(a.segments(), b.segments(), shifts)
+    pa, pb = a._prepared, b._prepared
+    return contacts(pa, pb, lattice_shifts(pa.bounds, pb.bounds))
 
 
 def torus_curve_simple(c: TorusCurve) -> bool:
@@ -176,11 +164,11 @@ def torus_curve_simple(c: TorusCurve) -> bool:
 
 def _embedded(c: TorusCurve) -> bool:
     path = c.period_path()
-    if polyline_self_intersects(path, closed=False):
+    segs = c._prepared
+    if edges_self_intersect(segs):
         return False
     h = c.homology
-    segs = c.segments()
-    shifts = [v for v in translate_range(path, path) if v != (0, 0)]
+    shifts = [v for v in lattice_shifts(segs.bounds, segs.bounds) if v != (0, 0)]
     for v, _, _, res in contacts(segs, segs, shifts):
         if isinstance(res, Overlap):
             return False
@@ -217,6 +205,9 @@ class AnnulusArc:
         lift = tuple((Fraction(x), Fraction(y)) for x, y in lift)
         if len(lift) < 2:
             raise ValueError("lift needs at least two points")
+        end_rays = tuple(end_rays)
+        if len(end_rays) != 2 or any(type(s) is not int or s not in (-1, 0, 1) for s in end_rays):
+            raise ValueError("end_rays needs two entries, each -1, 0 or 1")
         if model is SurfaceModel.COMPACT_ANNULUS:
             ys = sorted((lift[0][1], lift[-1][1]))
             if ys != [Fraction(0), Fraction(1)]:
@@ -227,7 +218,7 @@ class AnnulusArc:
                 raise ValueError("rays only on the open annulus")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "lift", lift)
-        object.__setattr__(self, "end_rays", tuple(end_rays))
+        object.__setattr__(self, "end_rays", end_rays)
 
     def segments(self) -> list[Segment]:
         return path_segments(self.lift)
@@ -237,16 +228,6 @@ class AnnulusArc:
         return AnnulusArc(
             self.model, [vadd(p, w) for p in self.lift], self.end_rays
         )
-
-
-def x_shifts(
-    a_pts: Sequence[RatPoint], b_pts: Sequence[RatPoint]
-) -> list[tuple[int, int]]:
-    """Deck shifts (k, 0) such that b + (k, 0) can touch a's x-extent, by
-    increasing k."""
-    ax0, ax1, _, _ = _bbox(a_pts)
-    bx0, bx1, _, _ = _bbox(b_pts)
-    return [(k, 0) for k in range(math.ceil(ax0 - bx1), math.floor(ax1 - bx0) + 1)]
 
 
 def shifts_meeting(
@@ -285,14 +266,15 @@ def lift_translates_hit(a: AnnulusArc, b: AnnulusArc):
     """K = {k : T^k(lift a) meets lift b}; exact, finite for these models."""
     if a.model is not b.model:
         raise ModelMismatch(f"{a.model} vs {b.model}")
-    _, _, ay0, ay1 = _bbox(a.lift)
-    _, _, by0, by1 = _bbox(b.lift)
+    ya, yb = [p[1] for p in a.lift], [p[1] for p in b.lift]
+    ay0, ay1, by0, by1 = min(ya), max(ya), min(yb), max(yb)
     span = abs(ay1 - ay0) + abs(by1 - by0) + max(
         abs(ay0 - by1), abs(by0 - ay1)
     ) + 1
-    segs_a = a.segments() + _ray_segments(a, span)
-    segs_b = b.segments() + _ray_segments(b, span)
-    shifts = x_shifts(b.lift, a.lift)
+    segs_a = PreparedSegments(a.segments() + _ray_segments(a, span))
+    segs_b = PreparedSegments(b.segments() + _ray_segments(b, span))
+    # vertical rays leave the x-extent of the lifts unchanged
+    shifts = lattice_shifts(segs_b.bounds, segs_a.bounds, wrap_y=False)
     ks = shifts_meeting(segs_a, segs_b, shifts)
     # parallel co-directed rays escape any finite box: same x, same sign
     for k, _ in shifts:

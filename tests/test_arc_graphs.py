@@ -29,7 +29,7 @@ from finegraph.geom_core import (
     segment_intersection,
     shift_segment,
 )
-from finegraph.surfaces import TorusCurve, shifts_meeting, torus_rep, x_shifts
+from finegraph.surfaces import TorusCurve, shifts_meeting, torus_rep
 
 F = Fraction
 
@@ -295,4 +295,4 @@ def test_shifts_meeting_matches_brute_force(u, v):
         for t in sv
         if not isinstance(segment_intersection(shift_segment(s, (k, 0)), t), Empty)
     }
-    assert shifts_meeting(su, sv, x_shifts(v, u)) == want
+    assert shifts_meeting(su, sv, [(k, 0) for k in _deck_range(u, v)]) == want

@@ -27,6 +27,10 @@ def cannulus(path):
     return {"model": "cannulus", "lift": pts(path)}
 
 
+def oannulus(path, end_rays):
+    return {"model": "oannulus", "lift": pts(path), "end_rays": end_rays}
+
+
 NECKLACE_FIXTURE = {
     "curves": [
         torus([(0, F(1, 2)), (1, F(1, 2))]),
@@ -154,9 +158,16 @@ def test_width_rejects_without_traceback(tmp_path, capsys, fix, want):
         # an annulus lift repeating a point
         {"a": cannulus([(F(1, 4), 0), (F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 4), 1)]),
          "b": cannulus([(F(3, 4), 0), (F(3, 4), 1)])},
+        # open-annulus ray signs: one entry, a string, a sign out of range, a
+        # JSON boolean
+        {"a": oannulus([(0, 0), (0, 1)], [5]), "b": oannulus([(1, 0), (1, 1)], [0, 0])},
+        {"a": oannulus([(0, 0), (0, 1)], "ab"), "b": oannulus([(1, 0), (1, 1)], [0, 0])},
+        {"a": oannulus([(0, 0), (0, 1)], [2, 0]), "b": oannulus([(1, 0), (1, 1)], [0, 0])},
+        {"a": oannulus([(0, 0), (0, 1)], [True, 0]), "b": oannulus([(1, 0), (1, 1)], [0, 0])},
     ],
     ids=["short_rot", "string_rot", "long_rot", "empty_rot", "lambda_over_zero",
-         "repeated_point"],
+         "repeated_point", "short_end_rays", "string_end_rays", "end_ray_out_of_range",
+         "boolean_end_ray"],
 )
 def test_width_malformed_operand_exits_2(tmp_path, capsys, fix):
     f = tmp_path / "input.json"

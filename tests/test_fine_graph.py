@@ -138,6 +138,21 @@ def test_generated_cliques_classify(seeded=11):
 # --------------------------------------------------------------- witnesses
 
 
+@pytest.mark.parametrize("magnitude", [10**6, 10**12])
+def test_classify_clique3_under_lattice_translations(magnitude):
+    # moving one lift by an integer vector leaves its torus curve unchanged
+    rng = random.Random(1400 + len(str(magnitude)))
+    for _ in range(40):
+        trio = rand_clique3(rng, rng.choice(REALIZABLE_TYPES))
+        rep = classify_clique3(*trio)
+        k = rng.randrange(3)
+        v = tuple(rng.choice((-1, 1)) * rng.randint(magnitude // 2, magnitude) for _ in range(2))
+        moved = trio[:k] + [trio[k].translate(v)] + trio[k + 1 :]
+        got = classify_clique3(*moved)
+        assert got.type == rep.type
+        assert sorted(map(torus_rep, got.points)) == sorted(map(torus_rep, rep.points))
+
+
 def test_necklace_witness_F_standard():
     Fset = necklace_witness_F(*necklace_trio())
     assert len(Fset) == 6

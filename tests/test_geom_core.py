@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from finegraph.geom_core import (
     Segment,
     bbox_candidate_pairs,
     contacts,
+    float_box,
+    lattice_shifts,
     orient,
     polyline_self_intersects,
     pt,
@@ -251,13 +254,15 @@ def test_surely_disjoint_never_skips_a_contact(pair):
     s1, s2, v = pair
     assert not isinstance(segment_intersection(s1, s2), Empty)
     # s2 reaches the filter as the float copy of s2 - v, moved back by v in
-    # floats, as bbox_candidate_pairs and SegmentSet.hits hand it over
+    # floats; the candidate loop instead moves s1 by -v in floats
     vx, vy = float(v[0]), float(v[1])
     px, py, qx, qy = _floats(shift_segment(s2, (-v[0], -v[1])))
     moved = (px + vx, py + vy, qx + vx, qy + vy)
     scale = max(abs(vx), abs(vy))
     assert not surely_disjoint(*_floats(s1), *moved, scale)
     assert not surely_disjoint(*moved, *_floats(s1), scale)
+    ax, ay, bx, by = _floats(s1)
+    assert not surely_disjoint(ax - vx, ay - vy, bx - vx, by - vy, px, py, qx, qy, scale)
     assert not surely_disjoint(*_floats(s1), *_floats(s2), 0.0)
     back = [shift_segment(s2, (-v[0], -v[1]))]
     assert list(bbox_candidate_pairs([s1], back, [v])) == [(v, 0, 0)]
@@ -335,3 +340,103 @@ def test_segment_set_surely_free_is_sound(raw, p, q, wrap_x, wrap_y):
     sset = SegmentSet(obstacles, wrap_x=wrap_x, wrap_y=wrap_y)
     if sset.surely_free(float(p[0]), float(p[1]), float(q[0]), float(q[1])):
         assert not _brute_hits(obstacles, Segment(p, q), set(), wrap_x, wrap_y)
+
+
+def _reference_surely_free(obstacles, wrap_x, wrap_y, px, py, qx, qy):
+    """The verdict of ``SegmentSet.surely_free`` as its own box loop decided
+    it: translates from the unpadded float bounds of the obstacles with slack
+    1e-6, the probe moved by -(i, j), the scale max(|i|, |j|)."""
+    if not obstacles:
+        return True
+    segf = [_floats(s) for s in obstacles]
+    boxf = [float_box(*f) for f in segf]
+    xs = [c for f in segf for c in (f[0], f[2])]
+    ys = [c for f in segf for c in (f[1], f[3])]
+    ox0, ox1, oy0, oy1 = min(xs), max(xs), min(ys), max(ys)
+    bx0, bx1, by0, by1 = float_box(px, py, qx, qy)
+    slack = 1e-6
+    vx = range(math.ceil(bx0 - ox1 - slack), math.floor(bx1 - ox0 + slack) + 1) if wrap_x else (0,)
+    vy = range(math.ceil(by0 - oy1 - slack), math.floor(by1 - oy0 + slack) + 1) if wrap_y else (0,)
+    for i in vx:
+        for j in vy:
+            a0, a1 = bx0 - i, bx1 - i
+            b0, b1 = by0 - j, by1 - j
+            shift = max(abs(i), abs(j))
+            for k, (sx0, sx1, sy0, sy1) in enumerate(boxf):
+                if sx0 > a1 or a0 > sx1 or sy0 > b1 or b0 > sy1:
+                    continue
+                if not surely_disjoint(px - i, py - j, qx - i, qy - j, *segf[k], shift):
+                    return False
+    return True
+
+
+# offsets that put a probe end on an obstacle, within the float margins of
+# one, or near the 1e-6 slack of the translate range
+nudges = st.sampled_from((0.0, 2.0**-30, -(2.0**-30), 2.0**-20, -(2.0**-20), 1e-6, -1e-6, 2.0**-6))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(dyadic_pts | small_pts, dyadic_pts | small_pts), max_size=6),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_surely_free_matches_its_reference_loop(raw, wrap_x, wrap_y, data):
+    obstacles = [Segment(a, b) for a, b in raw if a != b]
+    pool = [p for s in obstacles for p in (s.p, s.q, _at(s.p, s.q, Fraction(1, 2)))]
+    ends = []
+    for _ in range(2):
+        if pool and data.draw(st.booleans()):
+            p = data.draw(st.sampled_from(pool))
+            i, j = data.draw(shift_st)
+            i, j = i if wrap_x else 0, j if wrap_y else 0
+            dx, dy = data.draw(nudges), data.draw(nudges)
+            ends.append((float(p[0]) + i + dx, float(p[1]) + j + dy))
+        else:
+            p = data.draw(dyadic_pts)
+            ends.append((float(p[0]), float(p[1])))
+    (px, py), (qx, qy) = ends
+    got = SegmentSet(obstacles, wrap_x=wrap_x, wrap_y=wrap_y).surely_free(px, py, qx, qy)
+    assert got == _reference_surely_free(obstacles, wrap_x, wrap_y, px, py, qx, qy)
+
+
+@st.composite
+def near_boxes(draw):
+    """Two exact boxes (x0, x1, y0, y1) within a few units of each other
+    around a point of magnitude 1e-9 to 1e12; some of their sides differ by
+    an exact integer, so that a shift lands on the boundary of the range."""
+    c = Fraction(draw(st.integers(-999, 999)), 1000) * Fraction(10) ** draw(st.integers(-9, 12))
+    off = st.fractions(-3, 3, max_denominator=10**9)
+    width = st.just(Fraction(0)) | st.fractions(0, 3, max_denominator=10**9)
+
+    def side():
+        lo = c + draw(off)
+        return [lo, lo + draw(width)]
+
+    ax, ay, bx, by = side(), side(), side(), side()
+    for a, b in ((ax, bx), (ay, by)):
+        if draw(st.booleans()):
+            d = b[1] - b[0]
+            b[1] = a[0] - draw(st.integers(-3, 3))
+            b[0] = b[1] - d
+        if draw(st.booleans()):
+            d = b[1] - b[0]
+            b[0] = a[1] - draw(st.integers(-3, 3))
+            b[1] = b[0] + d
+    return (*ax, *ay), (*bx, *by)
+
+
+@settings(max_examples=300)
+@given(near_boxes(), st.booleans())
+def test_lattice_shifts_cover_the_exact_range(boxes, wrap_y):
+    a, b = boxes
+    got = lattice_shifts(tuple(map(float, a)), tuple(map(float, b)), wrap_y=wrap_y)
+    assert got == sorted(got)
+    vx = range(math.ceil(a[0] - b[1]), math.floor(a[1] - b[0]) + 1)
+    vy = range(math.ceil(a[2] - b[3]), math.floor(a[3] - b[2]) + 1) if wrap_y else (0,)
+    assert {(i, j) for i in vx for j in vy} <= set(got)
+    # the slack stays below a unit or so, even at 1e12
+    for i, j in got:
+        assert a[0] - b[1] - 2 <= i <= a[1] - b[0] + 2
+        assert not wrap_y or a[2] - b[3] - 2 <= j <= a[3] - b[2] + 2

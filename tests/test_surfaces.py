@@ -16,7 +16,6 @@ from finegraph.surfaces import (
     path_homology,
     torus_curve_simple,
     torus_pair_hits,
-    translate_range,
 )
 
 F = Fraction
@@ -250,8 +249,20 @@ def test_bouquet_two_faces():
 # flood-fill oracle: count complement components on a fine rational grid
 
 
+def exact_shifts(a_pts, b_pts):
+    """Integer vectors v such that b + v can touch a's bounding box, from
+    the exact coordinates."""
+    ax, ay = [p[0] for p in a_pts], [p[1] for p in a_pts]
+    bx, by = [p[0] for p in b_pts], [p[1] for p in b_pts]
+    return [
+        (i, j)
+        for i in range(math.ceil(min(ax) - max(bx)), math.floor(max(ax) - min(bx)) + 1)
+        for j in range(math.ceil(min(ay) - max(by)), math.floor(max(ay) - min(by)) + 1)
+    ]
+
+
 def segment_hits_curves(seg, segs_all):
-    for v in translate_range(
+    for v in exact_shifts(
         [p for s in segs_all for p in (s.p, s.q)], [seg.p, seg.q]
     ):
         vv = (F(v[0]), F(v[1]))
@@ -263,7 +274,7 @@ def segment_hits_curves(seg, segs_all):
 
 
 def point_on_curves(p, segs_all):
-    for v in translate_range(
+    for v in exact_shifts(
         [q for s in segs_all for q in (s.p, s.q)], [p, (p[0] + 1, p[1])]
     ):
         vv = (F(v[0]), F(v[1]))
