@@ -44,16 +44,16 @@ from .fine_graph import (
     NotAVertex,
     TransverseEdge,
     WitnessSearchFailed,
-    _chain_arcs,
     check_vertex,
     classify_clique3,
+    close_through,
     is_edge,
 )
-from .routing import SegmentSet, torus_route
+from .routing import SegmentSet
 from .surfaces import (
     TorusCurve,
     _CurveTrace,
-    complement_components,
+    curve_arrangement,
     lift_on_path,
     sort_directions,
     torus_pair_hits,
@@ -584,14 +584,14 @@ def _offset_walk(pts: Sequence[RatPoint], eps: Fraction) -> list[RatPoint]:
     return _drop_collinear(out)
 
 
-def _boundary_hug_delta(cross: Sequence[TorusCurve], x: RatPoint):
+def _boundary_hug_delta(curves: Sequence[TorusCurve], x: RatPoint):
     """A vertex through x built by hugging a complementary face boundary.
 
     Grid routing cannot thread channels narrower than its resolution, so the
     body of the curve is taken as an exact inward offset of the boundary
     walk of the face whose corners at x hold the two germ directions."""
     x = torus_rep(x)
-    _faces, arr = complement_components(list(cross), _with_arrangement=True)
+    arr = curve_arrangement(curves)
 
     def next_real(d):
         # scaffold edges are passable, so drop their darts from the fans
@@ -663,22 +663,22 @@ def _boundary_hug_delta(cross: Sequence[TorusCurve], x: RatPoint):
                 if all(
                     isinstance(tag := is_edge(cand, w), TransverseEdge)
                     and torus_rep(tag.point) == x
-                    for w in cross
+                    for w in curves
                 ):
                     return cand
                 eps /= 2
     raise WitnessSearchFailed("no boundary-hugging curve through the point")
 
 
-def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
-    """A vertex through x meeting each curve in ``cross`` exactly there,
+def _aux_delta(curves: Sequence[TorusCurve], x: RatPoint):
+    """A vertex through x meeting each of the curves exactly there,
     transversely.
 
     Its two germ directions are picked inside gaps of the direction fan so
     that they separate every curve's branch pair; the body is routed in the
     complement of the given curves."""
     x = torus_rep(x)
-    pairs = [_germ_dirs(w, x) for w in cross]
+    pairs = [_germ_dirs(w, x) for w in curves]
 
     def unit(d):
         s = max(abs(d[0]), abs(d[1]))
@@ -691,7 +691,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
     m = len(dirs)
     gaps = [vadd(dirs[i], dirs[(i + 1) % m]) for i in range(m)]
     obstacles = SegmentSet(
-        [s for w in cross for s in w.segments()], wrap_x=True, wrap_y=True
+        [s for w in curves for s in w.segments()], wrap_x=True, wrap_y=True
     )
 
     def reach(d):
@@ -716,19 +716,10 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
         p2 = reach(d2)
         if p1 is None or p2 is None:
             return None
-        germ = [p1, x, p2]
-        obs = SegmentSet(
-            [*obstacles.segs, *path_segments(germ)], wrap_x=True, wrap_y=True
-        )
-        r = torus_route(obs, p2, p1)
-        if r is None:
+        delta = close_through([[p1, x, p2]], curves)
+        if delta is None or delta.homology == (0, 0):
             return None
-        try:
-            delta = _chain_arcs([germ, r])
-            check_vertex(delta)
-        except (RuntimeError, ValueError):  # NotAVertex is a ValueError
-            return None
-        for w in cross:
+        for w in curves:
             tag = is_edge(delta, w)
             if not (
                 isinstance(tag, TransverseEdge) and torus_rep(tag.point) == x
@@ -745,7 +736,7 @@ def _aux_delta(cross: Sequence[TorusCurve], x: RatPoint):
                 return delta
     # grid routing cannot cross channels narrower than its finest step, so
     # fall back to hugging the face boundary through the thin parts
-    return _boundary_hug_delta(cross, x)
+    return _boundary_hug_delta(curves, x)
 
 
 def bouquet_chain(a: TorusCurve, b: TorusCurve, c: TorusCurve) -> ChainCertificate:

@@ -600,34 +600,32 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="JSON input file")
+    def operand_options(p):
+        p.add_argument("input", help="JSON input file")
         p.add_argument("--svg", metavar="PATH", help="write an advisory SVG rendering")
-        p.add_argument("--seed", type=int, default=None, metavar="N")
         p.add_argument(
             "--model",
             choices=[m.value for m in SurfaceModel],
             default=None,
             help="surface model for operands without an explicit one",
         )
-        p.add_argument("--out", metavar="DIR", help="directory for reports")
 
     p = sub.add_parser("classify", help="edge tag of 2 curves or type of a 3-clique")
-    common(p)
+    operand_options(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("width", help="relative width and distance of two operands")
-    common(p)
+    operand_options(p)
     p.add_argument("--path", action="store_true", help="also output an explicit geodesic")
     p.set_defaults(fn=cmd_width)
 
     p = sub.add_parser("verify-chain", help="validate a bouquet-chain certificate")
-    common(p)
+    p.add_argument("input", help="JSON input file")
     p.set_defaults(fn=cmd_verify_chain)
 
     p = sub.add_parser("suite", help="run the seeded property suite")
-    common(p, with_input=False)
+    p.add_argument("--seed", type=int, default=None, metavar="N")
+    p.add_argument("--out", metavar="DIR", help="directory for reports")
     p.add_argument(
         "--corrupt",
         action="store_true",

@@ -4,6 +4,11 @@ Vertices are simple nonseparating torus curves.  Two vertices span an edge
 when they are disjoint or meet in exactly one topologically transverse
 point.  A 3-clique of profile (1,1,1) is a necklace when its three pairwise
 intersection points are distinct and a bouquet when they coincide.
+
+Witness vertices are closed loops through a few fixed pieces (gates across
+curves, a germ at a point, the kept part of a curve).  ``close_through`` is
+the one loop closer: it joins the pieces by ``torus_route`` legs and keeps
+the loop only when it is simple.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .surfaces import (
     Face,
     TorusCurve,
     _CurveTrace,
-    complement_components,
+    curve_arrangement,
     lift_on_path,
     torus_curve_simple,
     torus_pair_hits,
@@ -351,67 +356,26 @@ class _FaceLocator:
         return 2 * e if side > 0 else 2 * e + 1
 
 
-def _d_params_on(d: TorusCurve, curves: Sequence[TorusCurve]):
-    """Sorted params along d of all its meetings with the given curves."""
+def _arc_params(d: TorusCurve, curves: Sequence[TorusCurve], spots: Sequence[Fraction]):
+    """Params of d at the fractions ``spots`` of each maximal arc of d
+    between its meetings with the curves, with d's trace.  When d meets none
+    of them, the param of each segment midpoint instead."""
     tr = _CurveTrace(d, 0)
     params = set()
     for u in curves:
         for v, si, sj, res in torus_pair_hits(d, u):
             if not hasattr(res, "point"):
                 raise WitnessSearchFailed("overlap while sampling pieces")
-            t = tr.param_of(si, res.point)
-            params.add(t % tr.n)
-    return tr, sorted(params)
-
-
-def _piece_samples(d: TorusCurve, curves: Sequence[TorusCurve]):
-    """One interior point per maximal arc of d between crossings, with the
-    arc's bounding params.  Falls back to segment midpoints when disjoint."""
-    tr, params = _d_params_on(d, curves)
+            params.add(tr.param_of(si, res.point) % tr.n)
+    params = sorted(params)
+    if not params:
+        return tr, [Fraction(2 * i + 1, 2) for i in range(tr.n)]
     out = []
-    if not params:
-        for i in range(tr.n):
-            out.append((Fraction(2 * i + 1, 2), tr.point_at(Fraction(2 * i + 1, 2))))
-        return tr, out
     for k, t1 in enumerate(params):
         t2 = params[k + 1] if k + 1 < len(params) else params[0] + tr.n
-        if t2 == t1:
-            continue
-        mid = ((t1 + t2) / 2) % tr.n
-        out.append((mid, tr.point_at(mid)))
+        if t2 != t1:
+            out.extend((t1 + (t2 - t1) * fr) % tr.n for fr in spots)
     return tr, out
-
-
-def _face_params(d: TorusCurve, curves: Sequence[TorusCurve], locator: _FaceLocator):
-    """Several splice params per maximal arc of d between crossings, grouped
-    by the face each point lies in.  A single midpoint is too brittle: after
-    a detour is spliced in, the param midpoint of an arc can sit deep inside
-    the detour's narrow corridor where routing has no room."""
-    tr, params = _d_params_on(d, curves)
-    spots = (
-        Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
-        Fraction(1, 8), Fraction(7, 8),
-    )
-    met: dict[int, list[Fraction]] = {}
-
-    def add(t):
-        try:
-            fi = locator.locate(torus_rep(tr.point_at(t)))
-        except WitnessSearchFailed:
-            return
-        met.setdefault(fi, []).append(t)
-
-    if not params:
-        for i in range(tr.n):
-            add(Fraction(2 * i + 1, 2))
-        return tr, met
-    for k, t1 in enumerate(params):
-        t2 = params[k + 1] if k + 1 < len(params) else params[0] + tr.n
-        if t2 == t1:
-            continue
-        for fr in spots:
-            add((t1 + (t2 - t1) * fr) % tr.n)
-    return tr, met
 
 
 def faces_met(
@@ -424,13 +388,11 @@ def faces_met(
     complementary faces that d passes through, with one witness param of d
     per face.  Without a locator, one is built on the curves' arrangement."""
     if locator is None:
-        _, arr = complement_components(curves, _with_arrangement=True)
-        locator = _FaceLocator(arr)
-    _, samples = _piece_samples(d, curves)
+        locator = _FaceLocator(curve_arrangement(curves))
+    tr, params = _arc_params(d, curves, (Fraction(1, 2),))
     met: dict[int, list[Fraction]] = {}
-    for param, p in samples:
-        fi = locator.locate(torus_rep(p))
-        met.setdefault(fi, []).append(param)
+    for t in params:
+        met.setdefault(locator.locate(torus_rep(tr.point_at(t))), []).append(t)
     return met
 
 
@@ -447,23 +409,39 @@ def _segset(seg_lists) -> SegmentSet:
     return SegmentSet(segs, wrap_x=True, wrap_y=True)
 
 
-def _gate_at(curve: TorusCurve, seg_index: int, frac: Fraction, t: Fraction):
-    """A short transversal segment crossing one segment of the curve.
-
-    Returns (side1 endpoint, crossing point, side2 endpoint)."""
+def _gate(curve: TorusCurve, own: SegmentSet, seg_index: int, frac: Fraction, t: Fraction):
+    """A short transversal path [side1 end, m, side2 end] across one segment
+    of the curve at the point m a fraction ``frac`` along it, or None when
+    the gate meets the curve (whose obstacle set is ``own``) away from m."""
     s = curve.segments()[seg_index]
     d = vsub(s.q, s.p)
     m = vadd(s.p, smul(frac, d))
     nrm = (-d[1], d[0])
-    return vadd(m, smul(t, nrm)), m, vsub(m, smul(t, nrm))
+    e1, e2 = vadd(m, smul(t, nrm)), vsub(m, smul(t, nrm))
+    if own.hits(Segment(e1, m), allow=[m]) or own.hits(Segment(m, e2), allow=[m]):
+        return None
+    return [e1, m, e2]
 
 
-def _close_loop(parts) -> Optional[TorusCurve]:
+def close_through(pieces: Sequence[list[RatPoint]], fixed: Sequence) -> Optional[TorusCurve]:
+    """A simple loop through the lifted paths ``pieces`` in order, or None.
+
+    The gap from the end of each piece to the start of the next (the last
+    piece closes back to the first) is routed by ``torus_route`` clear of
+    ``fixed`` (curves or paths), of every piece and of the routes built
+    before it."""
+    routes = []
+    for i, piece in enumerate(pieces):
+        obs = _segset([*fixed, *pieces, *routes])
+        r = torus_route(obs, piece[-1], pieces[(i + 1) % len(pieces)][0])
+        if r is None:
+            return None
+        routes.append(r)
     try:
-        chained = _chain_arcs(parts)
+        loop = _chain_arcs([arc for pair in zip(pieces, routes) for arc in pair])
     except (RuntimeError, ValueError):
         return None
-    return chained
+    return loop if torus_curve_simple(loop) else None
 
 
 def far_witness(a: TorusCurve, b: TorusCurve, c: TorusCurve):
@@ -538,29 +516,13 @@ def _build_germ_loop(germ, c, seg_index, frac, gate_t, extra=()):
 
     The loop runs from the germ's forward end to a gate through c and back
     to the germ's backward end, avoiding c and the extra obstacles."""
-    s0, s1 = germ[0], germ[-1]
     own = _segset([c])
     for _ in range(8):
-        e1, m, e2 = _gate_at(c, seg_index, frac, gate_t)
-        if own.hits(Segment(e1, m), allow=[m]) or own.hits(Segment(m, e2), allow=[m]):
-            gate_t /= 2
-            continue
-        obs1 = _segset([c, germ, *extra, [e1, e2]])
-        r1 = torus_route(obs1, s1, e1)
-        if r1 is None:
-            gate_t /= 2
-            continue
-        obs2 = _segset([c, germ, *extra, r1, [e1, e2]])
-        r2 = torus_route(obs2, e2, s0)
-        if r2 is None:
-            gate_t /= 2
-            continue
-        loop = _close_loop([germ, r1, [e1, m, e2], r2])
-        if loop is None:
-            gate_t /= 2
-            continue
-        if torus_curve_simple(loop):
-            return loop
+        gate = _gate(c, own, seg_index, frac, gate_t)
+        if gate is not None:
+            loop = close_through([germ, gate], [c, *extra])
+            if loop is not None:
+                return loop
         gate_t /= 2
     return None
 
@@ -579,8 +541,8 @@ def _is_4clique(d: TorusCurve, curves: Sequence[TorusCurve]) -> bool:
 
 
 def _probe_gate(curves, run, gate_t):
-    """Straight segment crossing every curve of ``run`` while clearing the
-    rest.  Bridges stacks of mutually close curves whose gaps are thinner
+    """Straight gate path [e1, m, e2], m on the first curve of ``run``,
+    crossing every curve of the run while clearing the rest.  Bridges stacks of mutually close curves whose gaps are thinner
     than any routing grid; crossing multiplicities are verified on the
     assembled loop, not here."""
     u = curves[run[0]]
@@ -603,7 +565,7 @@ def _probe_gate(curves, run, gate_t):
                     break
                 if not all(rs.hits(pr) for rs in run_sets):
                     continue
-                return (e1, m, e2, [e1, m, e2])
+                return [e1, m, e2]
     return None
 
 
@@ -628,10 +590,9 @@ def _routed_loop(
     gate_t = Fraction(1, 16)
     for _ in range(5):
         base = []
-        ok = True
         for run in groups:
             found = None
-            prev = _segset([g[3] for g in base])
+            prev = _segset(base)
             if len(run) > 1:
                 found = _probe_gate(curves, run, gate_t)
                 if found is not None and prev.hits(Segment(found[0], found[2])):
@@ -643,24 +604,20 @@ def _routed_loop(
                 own = _segset([u])
                 for si in range(len(u.segments())):
                     for fc in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)):
-                        e1, m, e2 = _gate_at(u, si, fc, gate_t)
-                        if blockers.hits(Segment(e1, e2)):
+                        g = _gate(u, own, si, fc, gate_t)
+                        if g is None:
                             continue
-                        if own.hits(Segment(e1, m), allow=[m]) or own.hits(
-                            Segment(m, e2), allow=[m]
-                        ):
+                        chord = Segment(g[0], g[2])
+                        if blockers.hits(chord) or prev.hits(chord):
                             continue
-                        if prev.hits(Segment(e1, e2)):
-                            continue
-                        found = (e1, m, e2, [e1, m, e2])
+                        found = g
                         break
                     if found is not None:
                         break
             if found is None:
-                ok = False
                 break
             base.append(found)
-        if not ok:
+        if len(base) < len(groups):
             gate_t /= 2
             continue
 
@@ -669,9 +626,9 @@ def _routed_loop(
         ends = None
         if locator is not None:
             ends = []
-            for e1, _, e2, _ in base:
+            for g in base:
                 pair = []
-                for p in (e1, e2):
+                for p in (g[0], g[2]):
                     try:
                         pair.append(locator.locate(torus_rep(p)))
                     except WitnessSearchFailed:
@@ -687,32 +644,8 @@ def _routed_loop(
                     for gi in range(len(sides))
                 ):
                     continue
-            gates = []
-            for g, f in zip(base, flips):
-                e1, m, e2, _ = g
-                if f < 0:
-                    e1, e2 = e2, e1
-                gates.append((e1, m, e2, [e1, m, e2]))
-            parts = []
-            built_paths = [g[3] for g in gates]
-            ok = True
-            for gi in range(len(gates)):
-                src = gates[gi][2]
-                dst = gates[(gi + 1) % len(gates)][0]
-                obs = _segset([*curves, *built_paths, *parts])
-                r = torus_route(obs, src, dst)
-                if r is None:
-                    ok = False
-                    break
-                parts.append(r)
-            if not ok:
-                continue
-            pieces = []
-            for gi in range(len(gates)):
-                pieces.append(gates[gi][3])
-                pieces.append(parts[gi])
-            loop = _close_loop(pieces)
-            if loop is not None and torus_curve_simple(loop):
+            loop = close_through([g[::f] for g, f in zip(base, flips)], curves)
+            if loop is not None:
                 return loop
         gate_t /= 2
     return None
@@ -737,13 +670,27 @@ def _add_finger(
     Curves in ``others`` are kept clear of the detour; extra transverse
     crossings with curves not listed are harmless, so leaving the list empty
     gives the router far more room."""
-    tr, met = _face_params(d, curves, locator)
+    # a single sample per arc is too brittle: after a detour is spliced in,
+    # the param midpoint of an arc can sit deep inside the detour's narrow
+    # corridor where routing has no room
+    spots = (
+        Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
+        Fraction(1, 8), Fraction(7, 8),
+    )
+    tr, params = _arc_params(d, curves, spots)
+    met: dict[int, list[Fraction]] = {}
+    for t in params:
+        try:
+            fi = locator.locate(torus_rep(tr.point_at(t)))
+        except WitnessSearchFailed:
+            continue
+        met.setdefault(fi, []).append(t)
     blockers = _segset([*curves, d, *others])
     aset = _segset([alpha])
     # alpha is deliberately not a routing obstacle: extra transverse
     # crossings with it are welcome, and detours that must pass across it
     # to reach the gate chamber would otherwise be impossible
-    route_segs = [s for part in (*curves, *others) for s in part.segments()]
+    fixed = [*curves, *others]
     centers = (
         Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
         Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8),
@@ -755,9 +702,8 @@ def _add_finger(
             for fc in centers:
                 for orient_flip in (1, -1):
                     res = _try_finger(
-                        d, tr, met, curves, locator, alpha, others,
-                        si, fc, w, gate_t * orient_flip, blockers, aset,
-                        route_segs,
+                        tr, met, locator, alpha, si, fc, w,
+                        gate_t * orient_flip, blockers, aset, fixed,
                     )
                     if res is not None:
                         return res
@@ -766,53 +712,33 @@ def _add_finger(
     return None
 
 
-def _try_finger(d, tr, met, curves, locator, alpha, others, si, fc, w, gate_t,
-                blockers, aset, route_segs):
+def _try_finger(tr, met, locator, alpha, si, fc, w, gate_t, blockers, aset, fixed):
     f1 = fc - w
     f2 = fc + w
     if not (0 < f1 < f2 < 1):
         return None
-    e1, m1, i1 = _gate_at(alpha, si, f1, gate_t)
-    e2, m2, i2 = _gate_at(alpha, si, f2, gate_t)
-    gate_path = [e1, m1, i1, i2, m2, e2]
+    # each crossing segment meets alpha exactly at its midpoint; the walk
+    # between the inner points stays clear of it
+    g1 = _gate(alpha, aset, si, f1, gate_t)
+    g2 = _gate(alpha, aset, si, f2, gate_t)
+    if g1 is None or g2 is None or aset.hits(Segment(g1[2], g2[2])):
+        return None
+    gate_path = g1 + g2[::-1]
     for k in range(len(gate_path) - 1):
         if blockers.hits(Segment(gate_path[k], gate_path[k + 1])):
             return None
-    # each crossing segment meets alpha exactly at its midpoint; the walk
-    # between the inner points stays clear of it
-    if aset.hits(Segment(e1, m1), allow=[m1]) or aset.hits(Segment(m1, i1), allow=[m1]):
-        return None
-    if aset.hits(Segment(i2, m2), allow=[m2]) or aset.hits(Segment(m2, e2), allow=[m2]):
-        return None
-    if aset.hits(Segment(i1, i2)):
-        return None
     try:
-        face = locator.locate(torus_rep(e1))
+        face = locator.locate(torus_rep(gate_path[0]))
     except WitnessSearchFailed:
         return None
-    if face not in met:
-        return None
-    for param in met[face]:
+    for param in met.get(face, ()):
         # the excised gap may span a vertex of d; simplicity and the clique
         # property are rechecked downstream, so bad splices just get dropped
-        lo = param - Fraction(1, 64)
-        hi = param + Fraction(1, 64)
-        u = tr.point_at(lo)
-        v = tr.point_at(hi)
-        keep = tr.sub_path(hi % tr.n, lo % tr.n)
-        fixed = route_segs + path_segments(keep) + path_segments(gate_path)
-        base = SegmentSet(fixed, wrap_x=True, wrap_y=True)
-        r1 = torus_route(base, u, e1)
-        if r1 is None:
-            continue
-        base2 = SegmentSet(fixed + path_segments(r1), wrap_x=True, wrap_y=True)
-        r2 = torus_route(base2, e2, v)
-        if r2 is None:
-            continue
-        loop = _close_loop([keep, r1, gate_path, r2])
-        if loop is None or not torus_curve_simple(loop):
-            continue
-        return loop
+        gap = Fraction(1, 64)
+        keep = tr.sub_path((param + gap) % tr.n, (param - gap) % tr.n)
+        loop = close_through([keep, gate_path], fixed)
+        if loop is not None:
+            return loop
     return None
 
 
@@ -831,8 +757,8 @@ def refute_N(
     curves = [a, b, c]
     for al in alphas:
         check_vertex(al)
-    faces, arr = complement_components(curves, _with_arrangement=True)
-    locator = _FaceLocator(arr)
+    arr = curve_arrangement(curves)
+    faces, locator = arr.faces, _FaceLocator(arr)
     all_faces = set(range(len(faces)))
 
     def routed_candidates():

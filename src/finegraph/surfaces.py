@@ -420,32 +420,29 @@ def _scaffold_curves(curves: Sequence[TorusCurve]) -> list[TorusCurve]:
     return [vert, horiz]
 
 
-def complement_components(
-    curves: Sequence[TorusCurve], _with_arrangement: bool = False
-):
-    """Faces of the arrangement of the curve union on the torus.
+def curve_arrangement(curves: Sequence[TorusCurve]) -> "Arrangement":
+    """The arrangement of the curve union on the torus, with its faces.
 
-    Implemented by superimposing a connecting scaffold (one vertical and one
-    horizontal circle), tracing half-edge face cycles of the augmented
-    arrangement (all disks), then union-finding faces across scaffold-only
-    edges.  Each face records which input curves bound it and an interior
-    witness point.
+    A connecting scaffold (one vertical and one horizontal circle) is
+    superimposed, the half-edge face cycles of the augmented arrangement (all
+    disks) are traced, and faces are union-found across scaffold-only edges.
+    Each face records which input curves bound it and an interior witness
+    point.
     """
     curves = list(curves)
-    n_input = len(curves)
-    scaffold = _scaffold_curves(curves)
-    arr = Arrangement(curves + scaffold, n_input)
-    faces = arr.merged_faces()
-    if _with_arrangement:
-        return faces, arr
-    return faces
+    return Arrangement(curves + _scaffold_curves(curves), len(curves))
+
+
+def complement_components(curves: Sequence[TorusCurve]) -> list[Face]:
+    """Faces of the arrangement of the curve union on the torus."""
+    return curve_arrangement(curves).faces
 
 
 class Arrangement:
     """Half-edge arrangement of closed curves on the torus.
 
     Curves with label >= n_input are scaffold; faces separated only by
-    scaffold edges are merged.
+    scaffold edges are merged into ``faces``.
     """
 
     def __init__(self, curves: Sequence[TorusCurve], n_input: int):
@@ -464,6 +461,7 @@ class Arrangement:
             wrap_x=True,
             wrap_y=True,
         )
+        self.faces = self._merge_faces()
 
     def _mark_vertices(self):
         tr = self.traces
@@ -556,7 +554,7 @@ class Arrangement:
                 f"euler check failed on augmented arrangement: {v}-{e}+{f}"
             )
 
-    def merged_faces(self) -> list[Face]:
+    def _merge_faces(self) -> list[Face]:
         """Faces of the input curves: face walks united across scaffold
         edges.  ``walk_face[w]`` is the index of the face holding walk w."""
         parent = list(range(len(self.face_walks)))

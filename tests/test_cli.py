@@ -245,6 +245,24 @@ def test_verify_chain_malformed_point_exits_2(tmp_path, capsys, mutate):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-chain", "cert.json", "--seed", "1"],
+        ["verify-chain", "cert.json", "--model", "torus"],
+        ["classify", "in.json", "--out", "reports"],
+        ["width", "in.json", "--seed", "1"],
+        ["suite", "--svg", "fig.svg"],
+    ],
+    ids=["verify_chain_seed", "verify_chain_model", "classify_out", "width_seed", "suite_svg"],
+)
+def test_option_a_subcommand_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
 def test_svg_is_written(tmp_path, capsys):
     f = tmp_path / "in.json"
     f.write_text(json.dumps(NECKLACE_FIXTURE))

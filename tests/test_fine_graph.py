@@ -22,6 +22,7 @@ from finegraph.fine_graph import (
     _routed_loop,
     check_vertex,
     classify_clique3,
+    close_through,
     faces_met,
     far_witness,
     is_edge,
@@ -35,6 +36,7 @@ from finegraph.surfaces import (
     TorusCurve,
     _scaffold_curves,
     complement_components,
+    curve_arrangement,
     torus_rep,
 )
 
@@ -192,6 +194,28 @@ def test_far_witness_rejects_point_on_c():
         far_witness(a, b, c)
 
 
+# ---------------------------------------------------------- loop closing
+
+
+def gate_across_horizontal():
+    return [pt(F(1, 2), F(7, 16)), pt(F(1, 2), F(1, 2)), pt(F(1, 2), F(9, 16))]
+
+
+def test_close_through_gate_crosses_its_curve_once():
+    a = geodesic(1, 0, 0, F(1, 2))
+    loop = close_through([gate_across_horizontal()], [a])
+    assert loop is not None
+    check_vertex(loop)
+    assert is_edge(loop, a) == TransverseEdge(pt(F(1, 2), F(1, 2)))
+
+
+def test_close_through_fails_between_parallel_curves():
+    # the gate's ends lie in the two different bands between the curves,
+    # so every way back crosses one of them
+    a, a2 = geodesic(1, 0, 0, F(1, 2)), geodesic(1, 0, 0, F(1, 4))
+    assert close_through([gate_across_horizontal()], [a, a2]) is None
+
+
 # ---------------------------------------------------------------- refuting
 
 
@@ -259,8 +283,8 @@ def test_routed_loop_locates_each_gate_end_once(order):
 
 
 def locator_of(curves):
-    faces, arr = complement_components(curves, _with_arrangement=True)
-    return faces, _FaceLocator(arr)
+    arr = curve_arrangement(curves)
+    return arr.faces, _FaceLocator(arr)
 
 
 def face_with_witness(faces, inside):

@@ -4,9 +4,12 @@ byte-identical.
 For each workload of ``bench/workloads.py`` this prints the number of
 operations and a SHA-256 over the ``repr`` of every operation's output: the
 operations a benchmark run of that seed times, followed by its warm-up
-operation.  It then prints the SHA-256 of the standard output of
-``finegraph suite --seed 0`` and of ``finegraph classify`` on the example
-operand in README.md.  Run it on two checkouts and compare the lines:
+operation.  An automorphism operation's output is the empty violation list
+whenever the check passes, so its digest also covers the image
+``homeo_action.apply(f, c)`` of each curve of its universe.  It then prints
+the SHA-256 of the standard output of ``finegraph suite --seed 0`` and of
+``finegraph classify`` on the example operand in README.md.  Run it on two
+checkouts and compare the lines:
 
     python3 tools/output_digest.py --seed 1
 
@@ -28,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from finegraph import cli  # noqa: E402
+from finegraph import cli, homeo_action  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -43,6 +46,9 @@ def workload_digest(name: str, seed: int, seconds: int, workdir: Path) -> tuple[
     h = hashlib.sha256()
     for op in run:
         h.update(repr(w.run(op)).encode() + b"\n")
+        if name == "automorphism":
+            images = [homeo_action.apply(op["f"], c) for c in op["universe"]]
+            h.update(repr(images).encode() + b"\n")
     workloads.cleanup(workdir / name)
     return len(run), h.hexdigest()
 
