@@ -49,10 +49,11 @@ from .fine_graph import (
     close_through,
     is_edge,
 )
-from .routing import SegmentSet
+from .routing import ON_OBSTACLE, SegmentSet
 from .surfaces import (
     TorusCurve,
     _CurveTrace,
+    affine_curve,
     curve_arrangement,
     lift_on_path,
     sort_directions,
@@ -92,10 +93,6 @@ def _inv2(m):
     (a, b), (c, d) = m
     det = a * d - b * c
     return ((d // det, -b // det), (-c // det, a // det))
-
-
-def _map_curve(m, c: TorusCurve) -> TorusCurve:
-    return TorusCurve([mat_apply(m, p) for p in c.period_path()])
 
 
 Arc = list  # lifted PL path in strip coordinates
@@ -138,8 +135,9 @@ class CutSurface:
     marked: tuple[RatPoint, RatPoint]
 
     @cached_property
-    def _strip_segs(self) -> PreparedSegments:
-        return PreparedSegments(path_segments(self.strip_base))
+    def _lifts(self) -> SegmentSet:
+        """Every lift of the cut: strip_base moved by all of Z^2."""
+        return SegmentSet(path_segments(self.strip_base), wrap_x=True, wrap_y=True)
 
     def boundary_set(self) -> SegmentSet:
         top = [vadd(p, (Fraction(0), Fraction(1))) for p in self.strip_base]
@@ -147,50 +145,23 @@ class CutSurface:
 
     # ---------------------------------------------------------- the chart
 
-    def _lift_hits(self, seg: Segment, j: int):
-        """Contacts of seg with the j-th vertical lift copy of the cut, in
-        the frame of seg moved down by j."""
-        w = (Fraction(0), Fraction(j))
-        probe = PreparedSegments([Segment(vsub(seg.p, w), vsub(seg.q, w))])
-        shifts = lattice_shifts(probe.bounds, self._strip_segs.bounds, wrap_y=False)
-        return contacts(probe, self._strip_segs, shifts)
-
-    def _strip_level(self, q: RatPoint) -> int:
-        """j such that q lies strictly between lifts j and j+1 of the cut."""
-        ys = [p[1] for p in self.strip_base]
-        y0, y1 = min(ys), max(ys)
-        j_lo = math.floor(q[1] - y1) - 1
-        j_hi = math.floor(q[1] - y0) + 1
-        deep_y = y0 + j_lo - 1
-        eps = Fraction(1, 64)
-        for _ in range(40):
-            ray = Segment(q, (q[0] + eps, deep_y))
-            parities = {}
-            valid = True
-            for j in range(j_lo, j_hi + 1):
-                count = 0
-                for _, _, _, res in self._lift_hits(ray, j):
-                    if isinstance(res, Overlap) or not res.interior2:
-                        valid = False
-                        break
-                    count += 1
-                if not valid:
-                    break
-                parities[j] = count % 2
-            if valid:
-                sep = [j for j, par in parities.items() if par == 1]
-                if not sep:
-                    raise PointNotOnCurve("point outside the strip window")
-                return max(sep)
-            eps = -eps if eps > 0 else -eps / 2
-        raise WitnessSearchFailed("degenerate ray cast in chart")
-
     def chart(self, p: RatPoint) -> RatPoint:
-        """Strip coordinates of a torus point off the cut curve."""
+        """Strip coordinates of a torus point off the cut curve.
+
+        The image q = N p runs up to the first lift of the cut, strip_base +
+        (i, j); the lifts run towards +x with the strip above on their left,
+        so q lies between lifts j - 1 and j when it leaves that lift's right
+        side, and between lifts j and j + 1 otherwise.  q moves down by that
+        level, then right into the window starting at the marked point.  A
+        point on the cut raises PointNotOnCurve."""
         q = mat_apply(self.nmat, p)
-        if lift_on_path(q, self.strip_base) is not None:
+        ys = [y for _, y in self.strip_base]
+        hit = self._lifts.first_hit(q, max(ys) - min(ys) + 1, 1)
+        if hit is ON_OBSTACLE:
             raise PointNotOnCurve("point lies on the cut curve")
-        lvl = self._strip_level(q)
+        (_, j), k = hit
+        s = self._lifts.segs[k]
+        lvl = j - 1 if s.q[0] > s.p[0] else j
         q = (q[0], q[1] - lvl)
         q = (q[0] - math.floor(q[0] - self.marked[0][0]), q[1])
         return q
@@ -226,14 +197,13 @@ class CutSurface:
         return _drop_collinear([vadd(p, shift) for p in arc])
 
     def arc_to_curve(self, arc: Sequence[RatPoint]) -> TorusCurve:
-        inv = _inv2(self.nmat)
-        return TorusCurve([mat_apply(inv, p) for p in arc])
+        return affine_curve(arc, _inv2(self.nmat))
 
 
 def cut_along(a: TorusCurve, x: RatPoint) -> CutSurface:
     check_vertex(a)
     n = _normalizer(a.homology)
-    base = _map_curve(n, a).period_path()
+    base = affine_curve(a.lift, n).period_path()
     found = lift_on_path(mat_apply(n, torus_rep(x)), base)
     if found is None:
         raise PointNotOnCurve("x must lie on the cut curve")

@@ -592,8 +592,16 @@ def cmd_suite(args) -> int:
 # -------------------------------------------------------------- entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseFailure, so that ``main`` prints it as
+    one stderr line and exits 2, as it does for any other parse error."""
+
+    def error(self, message):
+        raise ParseFailure(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finegraph",
         description="Exact computations in fine curve graphs of the torus "
         "and annuli.",
@@ -636,8 +644,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseFailure as exc:
         sys.stderr.write(f"parse error: {exc}\n")

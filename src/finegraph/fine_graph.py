@@ -20,13 +20,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geom_core import (
-    Overlap,
-    PreparedSegments,
     RatPoint,
     Segment,
-    contacts,
     cross,
-    lattice_shifts,
     path_segments,
     smul,
     vadd,
@@ -39,7 +35,7 @@ from .curves_ops import (
     intersect_curves,
     push_aside,
 )
-from .routing import SegmentSet, torus_route
+from .routing import ON_OBSTACLE, SegmentSet, torus_route
 from .surfaces import (
     Arrangement,
     Face,
@@ -291,26 +287,15 @@ class NotFar(ValueError):
 
 
 class _FaceLocator:
-    """Maps points to the merged faces of an arrangement by exact ray shots.
+    """Maps points to the merged faces of an arrangement by one exact ray.
 
-    A ray of length 3/2 leaves the point; the first input-curve segment it
-    crosses lies on an edge, and the point is in the face of the dart of
-    that edge whose right side the ray leaves (face walks keep their face on
-    the right).  Scaffold edges are not obstacles, since faces are merged
-    across them.  A ray that starts on a curve, runs along a segment, or
-    first meets a segment end is retried in the next of five directions;
-    when every direction fails, ``locate`` raises WitnessSearchFailed."""
-
-    _RAYS = tuple(
-        (Fraction(3, 2) * x, Fraction(3, 2) * y)
-        for x, y in (
-            (Fraction(0), Fraction(1)),
-            (Fraction(1, 997), Fraction(1)),
-            (Fraction(-1, 991), Fraction(1)),
-            (Fraction(1), Fraction(1, 983)),
-            (Fraction(1), Fraction(-1, 977)),
-        )
-    )
+    ``SegmentSet.first_hit`` sends a ray of length 1 from the point: upward
+    when some input curve has homology x != 0, so that it crosses every
+    vertical loop, and rightward otherwise.  The input-curve segment it meets
+    first lies on an edge, and the point is in the face of the dart of that
+    edge whose right side the ray leaves (face walks keep their face on the
+    right).  Scaffold edges are not obstacles, since faces are merged across
+    them.  A point on an input curve raises WitnessSearchFailed."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
@@ -323,37 +308,17 @@ class _FaceLocator:
             for i in range(len(g) - 1):
                 segs.append(Segment(g[i], g[i + 1]))
                 self.seg_edge.append((e, vsub(g[i + 1], g[i])))
-        self.segs = PreparedSegments(segs)
+        self.obstacles = SegmentSet(segs, wrap_x=True, wrap_y=True)
+        self.axis = int(any(t.curve.homology[0] for t in arr.traces[: arr.n_input]))
 
     def locate(self, p: RatPoint) -> int:
-        for u in self._RAYS:
-            d = self._first_dart(p, u)
-            if d is not None:
-                return self.arr.walk_face[self.arr.face_of_dart[d]]
-        raise WitnessSearchFailed("face location failed")
-
-    def _first_dart(self, p: RatPoint, u: RatPoint) -> Optional[int]:
-        """The dart first crossed by the ray from p along u, or None when
-        that first contact is degenerate."""
-        ray = PreparedSegments([Segment(p, vadd(p, u))])
-        axis = 0 if u[0] != 0 else 1
-        shifts = lattice_shifts(ray.bounds, self.segs.bounds)
-        best = None
-        for _, _, k, res in contacts(ray, self.segs, shifts):
-            if isinstance(res, Overlap) or res.point == p:
-                return None
-            t = (res.point[axis] - p[axis]) / u[axis]
-            if best is None or t < best[0]:
-                best = (t, k, res.interior2)
-        # arrangement segments meet only at their ends, so a nearest point
-        # shared by several segments is an end of each of them
-        if best is None or not best[2]:
-            return None
-        e, w = self.seg_edge[best[1]]
-        side = cross(w, u)
-        if side == 0:
-            return None
-        return 2 * e if side > 0 else 2 * e + 1
+        hit = self.obstacles.first_hit(p, 1, self.axis)
+        if hit is None or hit is ON_OBSTACLE:
+            raise WitnessSearchFailed("face location failed")
+        e, w = self.seg_edge[hit[1]]
+        u = (0, 1) if self.axis else (1, 0)
+        d = 2 * e if cross(w, u) > 0 else 2 * e + 1
+        return self.arr.walk_face[self.arr.face_of_dart[d]]
 
 
 def _arc_params(d: TorusCurve, curves: Sequence[TorusCurve], spots: Sequence[Fraction]):

@@ -29,8 +29,8 @@ from .fine_graph import (
     classify_clique3,
     is_edge,
 )
-from .geom_core import mat_apply, mat_mul, pt, vadd
-from .surfaces import TorusCurve, torus_curve_simple, torus_rep
+from .geom_core import mat_mul, pt
+from .surfaces import TorusCurve, affine_curve, torus_curve_simple, torus_rep
 
 PRIMITIVE_CLASSES = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
 
@@ -93,10 +93,6 @@ def _rand_sl2(rng: random.Random, steps: int = 3):
     return m
 
 
-def _apply_affine(curve: TorusCurve, m, v) -> TorusCurve:
-    return TorusCurve([vadd(mat_apply(m, p), v) for p in curve.period_path()])
-
-
 def _standard_necklace():
     a = TorusCurve([pt(0, Fraction(1, 2)), pt(1, Fraction(1, 2))])
     b = TorusCurve([pt(Fraction(1, 2), 0), pt(Fraction(1, 2), 1)])
@@ -133,13 +129,13 @@ def _gen_two_pair(rng: random.Random):
     b = TorusCurve([(x0, Fraction(0)), (_rand_frac(rng), Fraction(1, 2)), (x0 + k, Fraction(1))])
     m = _rand_sl2(rng)
     v = (_rand_frac(rng), _rand_frac(rng))
-    return [_apply_affine(u, m, v) for u in (a, b, c)]
+    return [affine_curve(u.lift, m, v) for u in (a, b, c)]
 
 
 def _gen_necklace(rng: random.Random):
     m = _rand_sl2(rng)
     v = (_rand_frac(rng), _rand_frac(rng))
-    return [_apply_affine(u, m, v) for u in _standard_necklace()]
+    return [affine_curve(u.lift, m, v) for u in _standard_necklace()]
 
 
 def _gen_bouquet(rng: random.Random):
@@ -150,7 +146,7 @@ def _gen_bouquet(rng: random.Random):
             TorusCurve([p, (p[0] + cls[0], p[1] + cls[1])])
         )
     m = _rand_sl2(rng)
-    return [_apply_affine(u, m, (Fraction(0), Fraction(0))) for u in curves]
+    return [affine_curve(u.lift, m) for u in curves]
 
 
 _GEN = {
@@ -200,7 +196,7 @@ def rand_chain_triple(rng: random.Random):
         # point arbitrarily thin and witness searches needlessly slow
         m = _rand_sl2(rng, steps=2)
         v = (_rand_frac(rng), _rand_frac(rng))
-        trio = [_apply_affine(u, m, v) for u in (a0, b0, c0)]
+        trio = [affine_curve(u.lift, m, v) for u in (a0, b0, c0)]
         try:
             for u in trio:
                 check_vertex(u)

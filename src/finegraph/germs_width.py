@@ -34,9 +34,9 @@ from .geom_core import (
     polyline_self_intersects,
     vadd,
 )
-from .arc_graphs import _map_curve, _normalizer
+from .arc_graphs import _normalizer
 from .curves_ops import _point_seg_dist2
-from .routing import SegmentSet, grid_node, grid_route, shortcut
+from .routing import ON_OBSTACLE, SegmentSet, grid_node, grid_route, shortcut
 from .surfaces import (
     INFINITE,
     AnnulusArc,
@@ -44,6 +44,7 @@ from .surfaces import (
     SurfaceModel,
     TorusCurve,
     _CurveTrace,
+    affine_curve,
     lift_translates_hit,
     shifts_meeting,
 )
@@ -141,7 +142,7 @@ def _torus_strip_arcs(a: TorusCurve, b: TorusCurve):
     curve crossing each of them exactly once."""
     c = _cut_class(a.homology, b.homology)
     n = _normalizer(c)
-    na, nb = _map_curve(n, a), _map_curve(n, b)
+    na, nb = affine_curve(a.lift, n), affine_curve(b.lift, n)
     for den in (7, 11, 13, 17, 19, 23, 29):
         for num in range(1, den):
             y0 = Fraction(num, den)
@@ -155,32 +156,26 @@ def _torus_strip_arcs(a: TorusCurve, b: TorusCurve):
 # ------------------------------------------------------- strip threading
 
 
-def _h_ray_parity(p: RatPoint, wall: Sequence[RatPoint], k: int) -> Optional[int]:
-    """Parity of crossings of the leftward horizontal ray from p with the
-    wall shifted by (k, 0); None on a degenerate hit."""
-    count = 0
-    for s in path_segments(wall):
-        py = p[1]
-        y0, y1 = s.p[1] + 0, s.q[1] + 0
-        if py == y0 or py == y1:
-            return None
-        if not (min(y0, y1) < py < max(y0, y1)):
-            continue
-        t = (py - y0) / (y1 - y0)
-        x = s.p[0] + t * (s.q[0] - s.p[0]) + k
-        if x == p[0]:
-            return None
-        if x < p[0]:
-            count += 1
-    return count % 2
-
-
 def _inside_strip(p: RatPoint, wall: Sequence[RatPoint]) -> bool:
-    r0 = _h_ray_parity(p, wall, 0)
-    r1 = _h_ray_parity(p, wall, 1)
-    if r0 is None or r1 is None:
+    """Is p strictly inside the strip between the wall, an arc between the
+    boundary lines, and its (1, 0) translate?
+
+    The wall is run upward, so the strip lies on the left of wall + (1, 0)
+    and on the right of the wall.  A rightward ray of length the wall's
+    x-span + 1 then meets first either wall + (1, 0) from its left side or
+    the wall from its right side exactly when p is inside."""
+    if wall[0][1] > wall[-1][1]:
+        wall = wall[::-1]
+    if not wall[0][1] < p[1] < wall[-1][1]:
         return False
-    return r0 == 1 and r1 == 0
+    xs = [x for x, _ in wall]
+    walls = SegmentSet(path_segments(wall), wrap_x=True)
+    hit = walls.first_hit(p, max(xs) - min(xs) + 1, 0)
+    if hit is None or hit is ON_OBSTACLE:
+        return False
+    (i, _), k = hit
+    s = walls.segs[k]
+    return i == (1 if s.q[1] > s.p[1] else 0)
 
 
 def _thread_strip(

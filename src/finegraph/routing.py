@@ -6,7 +6,14 @@ under the torus or annulus translations.  It keeps its obstacles as one
 ``geom_core``: the shifts of ``lattice_shifts`` and the candidate loop
 ``probe_candidates``.  ``surely_free`` is the float verdict alone; ``hits``
 lets ``surely_crossing`` settle clear crossings and decides every other
-candidate exactly.
+candidate exactly.  ``first_hit`` is the one ray caster: the obstacle copy
+that an axis-parallel ray meets first, decided in ``Fraction``s under one tie
+rule.  The ray is read just past its start on the other axis, so a segment
+counts when its span on that axis holds the start's coordinate, lower end
+included and upper end excluded; segments parallel to the ray never count,
+and of two segments met at the same distance the one that rises less along
+the ray comes first.  Face location, the cut-surface chart and strip
+membership all place points with it.
 
 ``grid_route`` is the one grid router: a BFS on a rational grid offset off
 the lattice, whose cells wrap along the axes where the obstacles wrap.  A
@@ -41,6 +48,10 @@ from .geom_core import (
     surely_crossing,
     vadd,
 )
+
+
+# what ``SegmentSet.first_hit`` returns for a ray that starts on an obstacle
+ON_OBSTACLE = "on obstacle"
 
 
 class SegmentSet:
@@ -92,6 +103,35 @@ class SegmentSet:
                 continue
             return True
         return False
+
+    def first_hit(self, p: RatPoint, reach, axis: int):
+        """(v, k) for the copy ``segs[k] + v`` that the ray from p along
+        +axis, of length reach, meets first under the tie rule of the module
+        docstring; ``ON_OBSTACLE`` when p lies on an obstacle copy, None when
+        the ray meets none.  Ties left by the rule keep the candidate order."""
+        end = (p[0] + reach, p[1]) if axis == 0 else (p[0], p[1] + reach)
+        f = (float(p[0]), float(p[1]), float(end[0]), float(end[1]))
+        box = float_box(*f)
+        shifts = lattice_shifts(box, self.segs.bounds, self.wrap_x, self.wrap_y)
+        b = 1 - axis
+        best = None
+        for v, k in probe_candidates(self.segs, box, f, shifts):
+            s = self.segs[k]
+            q = (p[0] - v[0], p[1] - v[1])
+            lo, hi = (s.p, s.q) if s.p[b] <= s.q[b] else (s.q, s.p)
+            if lo[b] == hi[b]:
+                if q[b] == lo[b] and min(lo[axis], hi[axis]) <= q[axis] <= max(lo[axis], hi[axis]):
+                    return ON_OBSTACLE
+                continue
+            if not lo[b] <= q[b] <= hi[b]:
+                continue
+            rise = (hi[axis] - lo[axis]) / (hi[b] - lo[b])
+            d = lo[axis] + (q[b] - lo[b]) * rise - q[axis]
+            if d == 0:
+                return ON_OBSTACLE
+            if q[b] < hi[b] and 0 < d <= reach and (best is None or (d, rise) < best[0]):
+                best = ((d, rise), v, k)
+        return None if best is None else best[1:]
 
 
 def shortcut(

@@ -32,6 +32,7 @@ from .geom_core import (
     cross,
     edges_self_intersect,
     lattice_shifts,
+    mat_apply,
     orient,
     path_segments,
     segment_intersection,
@@ -119,6 +120,12 @@ class TorusCurve:
 
     def reversed(self) -> "TorusCurve":
         return TorusCurve(list(reversed(self.period_path())))
+
+
+def affine_curve(path: Sequence[RatPoint], m, v=(0, 0)) -> TorusCurve:
+    """The torus curve lifted by the images m p + v of the points p of a
+    lifted path: the one affine image of a curve or of a strip arc."""
+    return TorusCurve([vadd(mat_apply(m, p), v) for p in path])
 
 
 def path_homology(path: Sequence[RatPoint]) -> tuple[Fraction, Fraction]:

@@ -29,7 +29,7 @@ from finegraph.geom_core import (
     segment_intersection,
     shift_segment,
 )
-from finegraph.surfaces import TorusCurve, shifts_meeting, torus_rep
+from finegraph.surfaces import TorusCurve, lift_on_path, shifts_meeting, torus_rep
 
 F = Fraction
 
@@ -70,6 +70,60 @@ def test_chart_rejects_point_on_cut():
     S = cut_along(horizontal(0), (F(0), F(0)))
     with pytest.raises(PointNotOnCurve):
         S.chart((F(1, 3), F(0)))
+
+
+# a cut of homology (1, 0) that folds back in x, so the vertical line
+# through a point can meet one lift of it three times
+BENT_CUT = TorusCurve(
+    [pt(0, F(1, 4)), pt(F(3, 5), F(1, 5)), pt(F(2, 5), F(1, 2)), pt(1, F(1, 4))]
+)
+
+
+def _lift_parity(r, path, j):
+    """Parity of the crossings of a steep ray from r, a point off the lift,
+    down past the lift path + (0, j), counted over that lift's translates
+    by (i, 0); no vertex may lie on the ray's line."""
+    ys = [y for _, y in path]
+    far = (r[0] + F(1, 7919) * (r[1] - min(ys) - j + 2), min(ys) + j - 2)
+
+    def ccw(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    count = 0
+    for i in range(-4, 5):
+        lift = [(x + i, y + j) for x, y in path]
+        for a, b in zip(lift, lift[1:]):
+            d1, d2 = ccw(a, b, r), ccw(a, b, far)
+            d3, d4 = ccw(r, far, a), ccw(r, far, b)
+            assert 0 not in (d3, d4)
+            count += d1 * d2 < 0 and d3 * d4 < 0
+    return count % 2
+
+
+def test_chart_lands_between_the_lifts_at_cut_vertex_abscissae():
+    S = cut_along(BENT_CUT, (F(0), F(1, 4)))
+    base = S.strip_base
+    vertex_ys = {p[1] for p in BENT_CUT.lift}
+    on_cut = 0
+    for x in sorted({p[0] for p in BENT_CUT.lift}):
+        for y in sorted({F(k, 24) + F(1, 48) for k in range(24)} | vertex_ys):
+            p = (x, y)
+            if lift_on_path(p, base) is not None:
+                on_cut += 1
+                with pytest.raises(PointNotOnCurve):
+                    S.chart(p)
+                continue
+            r = S.chart(p)
+            assert S.chart_inv(r) == torus_rep(p)
+            assert _lift_parity(r, base, 0) == 1 and _lift_parity(r, base, 1) == 0
+    assert on_cut == 4
+
+
+def test_chart_rejects_point_on_bent_cut():
+    S = cut_along(BENT_CUT, (F(0), F(1, 4)))
+    for p in ((F(1, 2), F(7, 20)), (F(3, 5), F(1, 5)), (F(1, 3), F(2, 9)), (F(7, 5), F(-1, 2))):
+        with pytest.raises(PointNotOnCurve):
+            S.chart(p)
 
 
 def test_vertical_becomes_arc_joining_marked_points():

@@ -245,6 +245,13 @@ def test_verify_chain_malformed_point_exits_2(tmp_path, capsys, mutate):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def assert_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "usage:" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -257,10 +264,23 @@ def test_verify_chain_malformed_point_exits_2(tmp_path, capsys, mutate):
     ids=["verify_chain_seed", "verify_chain_model", "classify_out", "width_seed", "suite_svg"],
 )
 def test_option_a_subcommand_does_not_read_exits_2(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["width"], ["verify-chain"], []],
+    ids=["classify", "width", "verify_chain", "no_subcommand"],
+)
+def test_missing_input_or_subcommand_exits_2(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    capsys.readouterr()
-    assert exc.value.code == 2
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_svg_is_written(tmp_path, capsys):

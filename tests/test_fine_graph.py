@@ -345,6 +345,63 @@ def test_locate_rejects_a_point_on_a_curve():
         loc.locate((F(1, 3), F(1, 2)))
 
 
+def bent_vertical_trio():
+    """Three disjoint curves of homology (0, 1), two of them bent, so that
+    the locator casts its rightward ray."""
+    return [
+        TorusCurve([pt(F(1, 6), 0), pt(F(1, 3), F(1, 2)), pt(F(1, 6), 1)]),
+        TorusCurve([pt(F(1, 2), 0), pt(F(2, 3), F(1, 4)), pt(F(1, 2), F(3, 4)), pt(F(1, 2), 1)]),
+        geodesic(0, 1, F(5, 6), 0),
+    ]
+
+
+def face_partition(curves, points):
+    """The partition of ``points`` by merged face, as first-seen indices; a
+    point on a curve gets None."""
+    _, loc = locator_of(curves)
+    seen, out = {}, []
+    for p in points:
+        try:
+            fi = loc.locate(p)
+        except WitnessSearchFailed:
+            out.append(None)
+            continue
+        out.append(seen.setdefault(fi, len(seen)))
+    return out
+
+
+def affine(m, v, p):
+    return (m[0][0] * p[0] + m[0][1] * p[1] + v[0], m[1][0] * p[0] + m[1][1] * p[1] + v[1])
+
+
+@pytest.mark.parametrize(
+    "trio",
+    [necklace_trio(), bouquet_trio(), horizontal_trio(), bent_vertical_trio()],
+    ids=["necklace", "bouquet", "all_disjoint", "vertical_disjoint"],
+)
+def test_face_partition_is_invariant_under_affine_images(trio):
+    """Two points share a face exactly when their images under an element of
+    SL(2,Z) x Q^2 share a face of the image curves; samples sit on the x and
+    y coordinates of curve vertices, where rays run through vertices."""
+    rng = random.Random(5)
+    xs = sorted({torus_rep(p)[0] for c in trio for p in c.lift})
+    ys = sorted({torus_rep(p)[1] for c in trio for p in c.lift})
+    points = []
+    for _ in range(36):
+        x = rng.choice(xs) if rng.random() < 0.6 else F(rng.randrange(60), 60)
+        y = rng.choice(ys) if rng.random() < 0.6 else F(rng.randrange(60), 60)
+        points.append((x, y))
+    base = face_partition(list(trio), points)
+    assert len(set(base) - {None}) >= 2
+    for m, v in (
+        (((1, 1), (0, 1)), (F(1, 7), F(2, 5))),
+        (((0, -1), (1, 0)), (F(0), F(1, 3))),
+        (((2, 1), (1, 1)), (F(-3, 8), F(5, 9))),
+    ):
+        images = [TorusCurve([affine(m, v, p) for p in c.lift]) for c in trio]
+        assert face_partition(images, [affine(m, v, p) for p in points]) == base
+
+
 # ----------------------------------------------------------------- routing
 
 

@@ -10,6 +10,7 @@ from finegraph.germs_width import (
     GermSpec,
     NonGeneric,
     WidthResult,
+    _inside_strip,
     _thread_strip,
     distance_path,
     germ_width,
@@ -203,6 +204,32 @@ def test_thread_strip_is_clear_simple_and_spans_the_window(wall, others, waypoin
     assert path[-1][1] == 1 and foot[1] < path[-1][0] < foot[1] + 1
     assert not polyline_self_intersects(path)
     assert lift_translates_hit(AnnulusArc(CA, path), wall) == set()
+
+
+V_WALL = [(F(0), F(0)), (F(1, 4), F(1, 2)), (F(0), F(1))]
+
+
+@pytest.mark.parametrize("wall", [V_WALL, V_WALL[::-1]], ids=["up", "down"])
+def test_inside_strip_at_a_wall_vertex_height(wall):
+    # the rightward ray from (1/2, 1/2) runs through the vertex (5/4, 1/2)
+    # of the wall's translate
+    assert _inside_strip((F(1, 2), F(1, 2)), wall)
+    assert _inside_strip((F(3, 4), F(1, 4)), wall)
+
+
+@pytest.mark.parametrize("wall", [V_WALL, V_WALL[::-1]], ids=["up", "down"])
+@pytest.mark.parametrize(
+    "p",
+    [
+        (F(1, 4), F(1, 2)), (F(1, 8), F(1, 4)), (F(5, 4), F(1, 2)),
+        (F(1, 2), F(0)), (F(1, 2), F(1)), (F(1, 2), F(3, 2)),
+        (F(-1, 2), F(1, 2)), (F(3, 2), F(1, 2)), (F(1, 16), F(1, 4)),
+    ],
+    ids=["wall_vertex", "on_wall", "on_translate", "y0", "y1", "above",
+         "left_strip", "right_strip", "left_of_wall"],
+)
+def test_outside_strip(wall, p):
+    assert not _inside_strip(p, wall)
 
 
 def test_path_rejects_torus_curves():
